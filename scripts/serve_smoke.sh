@@ -2,8 +2,9 @@
 # End-to-end smoke test of the wire surface: starts magicdb-serve on an
 # ephemeral port, drives it with magicdb-cli (PREPARE / QUERY / APPLY /
 # STREAM / STATS / METRICS), checks row counts before and after a live
-# write, validates the Prometheus text exposition and the JSON stats
-# document, then sends SIGTERM and asserts a clean shutdown. Exercises the
+# write, checks that a one-shot query's strategy= reaches the form,
+# validates the Prometheus text exposition and the JSON stats document,
+# then sends SIGTERM and asserts a clean shutdown. Exercises the
 # same binary+protocol pairing a user deploys, not the in-process test
 # server.
 #
@@ -84,6 +85,13 @@ rows=$(run query "anc(c0, Y)" limit=2 | wc -l) \
 # STREAM delivers the same answers incrementally.
 rows=$(run stream "anc(c0, Y)" | wc -l)
 [ "$rows" -eq 4 ] || fail "expected 4 streamed rows, got $rows"
+
+# A one-shot query's strategy= rides on the PREPARE line, so the form
+# serving it compiles with that strategy and STATS names it.
+rows=$(run query "anc(c0, Y)" strategy=gc | wc -l)
+[ "$rows" -eq 4 ] || fail "expected 4 rows from the gc form, got $rows"
+run stats | grep -q '"strategy": *"gc"' \
+  || fail "stats does not list a form compiled with strategy gc"
 
 # STATS returns the JSON summary payload.
 run stats | grep -q '{' || fail "stats payload missing"

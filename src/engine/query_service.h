@@ -429,6 +429,9 @@ class QueryService {
   /// their own instruments into the same scrape (ROADMAP invariant: one
   /// registry per serving process, one aggregation path).
   obs::MetricsRegistry& metrics() { return metrics_; }
+  /// `options.obs.enabled`: layers that time themselves into metrics()
+  /// (the wire) read no clock when this is false.
+  bool obs_enabled() const { return options_.obs.enabled; }
 
   size_t num_threads() const { return pool_.size(); }
 

@@ -49,6 +49,7 @@ Result<MagicClient> MagicClient::Connect(const std::string& host,
     ::close(fd);
     return st;
   }
+  SetNoDelay(fd);
   return MagicClient(fd);
 }
 

@@ -24,6 +24,8 @@ MagicServer::MagicServer(std::shared_ptr<Universe> universe,
   // the freeze line and every session rejects requests that use them.
   ctx_.frozen_preds = ctx_.universe->predicates().size();
   ctx_.max_request_frame = options_.max_request_frame;
+  ctx_.metrics =
+      NetMetrics::Register(service->metrics(), service->obs_enabled());
 }
 
 MagicServer::~MagicServer() { Stop(); }
@@ -114,6 +116,7 @@ void MagicServer::AcceptLoop() {
       if (stopping_.load()) return;
       continue;
     }
+    SetNoDelay(fd);
     if (active_.load() >= options_.max_connections) {
       WriteFrame(fd, std::string(WireCodeName(WireCode::kOverloaded)) +
                          " too many connections");
@@ -121,6 +124,7 @@ void MagicServer::AcceptLoop() {
       continue;
     }
     active_.fetch_add(1);
+    ctx_.metrics.connections->Add(1);
     uint64_t id;
     {
       MutexLock lock(sessions_mutex_);
@@ -139,6 +143,7 @@ void MagicServer::RunSession(uint64_t id, int fd) {
   Session session(fd, &ctx_);
   session.Run();
   active_.fetch_sub(1);
+  ctx_.metrics.connections->Add(-1);
   // close + finished flip together under the lock, so Stop() never
   // shutdown()s an fd number the kernel may have already reused.
   MutexLock lock(sessions_mutex_);

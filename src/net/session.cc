@@ -7,6 +7,7 @@
 
 #include "ast/parser.h"
 #include "ast/program.h"
+#include "obs/trace.h"
 #include "storage/write_batch.h"
 
 namespace magic {
@@ -126,7 +127,32 @@ void AppendProfileLines(const QueryAnswer& answer, std::string* out) {
 
 }  // namespace
 
+NetMetrics NetMetrics::Register(obs::MetricsRegistry& registry, bool timed) {
+  NetMetrics m;
+  m.stage_ns[kParse] = registry.GetHistogram(
+      "magicdb_net_parse_ns", {},
+      "Wire request parse time: verb, options, seeds, query text");
+  m.stage_ns[kDispatch] = registry.GetHistogram(
+      "magicdb_net_dispatch_ns", {},
+      "Wire request time inside the QueryService call (STREAM: all cursor "
+      "pulls)");
+  m.stage_ns[kSerialize] = registry.GetHistogram(
+      "magicdb_net_serialize_ns", {}, "Wire reply rendering time");
+  m.stage_ns[kWriteFrame] = registry.GetHistogram(
+      "magicdb_net_write_frame_ns", {},
+      "Wire reply send time (all frames of the reply)");
+  m.request_ns = registry.GetHistogram(
+      "magicdb_net_request_ns", {},
+      "Wire request time, request frame read to reply written; a client "
+      "round trip minus this is the kernel/wire gap");
+  m.connections = registry.GetGauge("magicdb_net_connections", {},
+                                    "Wire connections being served");
+  m.timed = timed;
+  return m;
+}
+
 void Session::Run() {
+  const NetMetrics& metrics = ctx_->metrics;
   std::string request;
   while (true) {
     FrameResult result = ReadFrame(fd_, ctx_->max_request_frame, &request);
@@ -146,7 +172,23 @@ void Session::Run() {
       case FrameResult::kError:
         return;  // peer vanished mid-frame; nobody is listening for a reply
     }
-    if (!HandleFrame(request)) return;
+    uint64_t start = 0;
+    if (metrics.timed) {
+      start = mark_ns_ = obs::Trace::NowNs();
+      stage_ns_.fill(0);
+      stages_charged_ = 0;
+    }
+    const bool keep = HandleFrame(request);
+    if (metrics.timed) {
+      for (size_t stage = 0; stage < NetMetrics::kNumStages; ++stage) {
+        if ((stages_charged_ & (1u << stage)) != 0) {
+          metrics.stage_ns[stage]->Record(stage_ns_[stage]);
+        }
+      }
+      // Every request ends in Send, whose last mark is the reply written.
+      metrics.request_ns->Record(mark_ns_ - start);
+    }
+    if (!keep) return;
   }
 }
 
@@ -162,6 +204,7 @@ bool Session::HandleFrame(const std::string& request) {
   }
   std::string verb = tokens.front();
   tokens.erase(tokens.begin());
+  Mark(NetMetrics::kParse);
   if (verb == "PREPARE") return HandlePrepare(tokens);
   if (verb == "QUERY") return HandleQuery(tokens, /*streaming=*/false);
   if (verb == "STREAM") return HandleQuery(tokens, /*streaming=*/true);
@@ -213,6 +256,7 @@ bool Session::HandlePrepare(const std::vector<std::string>& args) {
       !st.ok()) {
     return Reply(ToWireCode(st.code()), st.message());
   }
+  Mark(NetMetrics::kParse);
 
   PreparedEntry entry;
   entry.query = *parsed->query;
@@ -242,6 +286,7 @@ bool Session::HandlePrepare(const std::vector<std::string>& args) {
     }
     entry.handle = *prepared;
   }
+  Mark(NetMetrics::kDispatch);
   std::string adornment;
   for (size_t i = 0; i < goal_args.size(); ++i) {
     adornment += u.terms().IsGround(goal_args[i]) ? 'b' : 'f';
@@ -258,6 +303,13 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
   RequestOptions opts = RequestOptions::Consume(&tokens);
   if (!opts.error.empty()) {
     return Reply(WireCode::kInvalidArgument, opts.error);
+  }
+  // The strategy and sip are fixed when the form compiles; accepting them
+  // here would silently serve the PREPAREd form anyway.
+  if (opts.strategy.has_value() || opts.sip.has_value()) {
+    return Reply(WireCode::kInvalidArgument,
+                 std::string(opts.strategy.has_value() ? "strategy=" : "sip=") +
+                     " is a PREPARE option");
   }
   if (tokens.empty()) {
     return Reply(WireCode::kInvalidArgument,
@@ -319,6 +371,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
   };
 
   std::vector<int> free_positions = QueryFreePositions(u, entry.query);
+  Mark(NetMetrics::kParse);
 
   if (!streaming) {
     QueryAnswer answer =
@@ -326,6 +379,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
             ? ctx_->service->Answer(entry.handle, std::move(seeds),
                                     opts.limits)
             : ctx_->service->Answer(run_request_tier());
+    Mark(NetMetrics::kDispatch);
     WireCode code = ToWireCode(answer.outcome, answer.status.code());
     if (!answer.status.ok()) {
       return Reply(code, answer.status.message());
@@ -340,7 +394,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
       }
     }
     if (opts.profile) AppendProfileLines(answer, &response);
-    return WriteFrame(fd_, response);
+    return Send(response);
   }
 
   AnswerCursor cursor =
@@ -351,10 +405,11 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
   std::vector<std::vector<TermId>> chunk;
   size_t rows = 0;
   while (cursor.Next(kChunk, &chunk)) {
+    Mark(NetMetrics::kDispatch);
     rows += chunk.size();
     if (free_positions.empty()) continue;  // boolean: count only
     for (const auto& tuple : chunk) {
-      if (!WriteFrame(fd_, "*" + RenderTuple(u, tuple))) {
+      if (!Send("*" + RenderTuple(u, tuple))) {
         // Client vanished mid-stream: cancel the evaluation so the worker
         // stops deriving rows nobody reads, then end the session (Finish
         // joins the evaluation, releasing its admission slot).
@@ -365,6 +420,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
     }
   }
   const QueryAnswer& final_answer = cursor.Finish();
+  Mark(NetMetrics::kDispatch);
   WireCode code =
       ToWireCode(final_answer.outcome, final_answer.status.code());
   if (!final_answer.status.ok()) {
@@ -374,7 +430,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
                                 final_answer.from_cache);
   if (free_positions.empty()) head += rows == 0 ? "\nfalse" : "\ntrue";
   if (opts.profile) AppendProfileLines(final_answer, &head);
-  return WriteFrame(fd_, head);
+  return Send(head);
 }
 
 bool Session::HandleApply(const std::string& payload) {
@@ -404,7 +460,9 @@ bool Session::HandleApply(const std::string& payload) {
       !st.ok()) {
     return Reply(ToWireCode(st.code()), st.message());
   }
+  Mark(NetMetrics::kParse);
   Result<WriteResult> applied = ctx_->service->ApplyWrites(batch);
+  Mark(NetMetrics::kDispatch);
   if (!applied.ok()) {
     return Reply(ToWireCode(applied.status().code()),
                  applied.status().message());
@@ -418,6 +476,7 @@ bool Session::HandleApply(const std::string& payload) {
 
 bool Session::HandleStats() {
   QueryService::Stats stats = ctx_->service->stats();
+  Mark(NetMetrics::kDispatch);
   return Reply(WireCode::kOk, stats.Summary() + "\n" + stats.Json());
 }
 
@@ -439,7 +498,22 @@ bool Session::Reply(WireCode code, const std::string& text) {
     frame += " ";
     frame += text;
   }
-  return WriteFrame(fd_, frame);
+  return Send(frame);
+}
+
+bool Session::Send(std::string_view frame) {
+  Mark(NetMetrics::kSerialize);
+  const bool sent = WriteFrame(fd_, frame);
+  Mark(NetMetrics::kWriteFrame);
+  return sent;
+}
+
+void Session::Mark(NetMetrics::Stage stage) {
+  if (!ctx_->metrics.timed) return;
+  const uint64_t now = obs::Trace::NowNs();
+  stage_ns_[stage] += now - mark_ns_;
+  stages_charged_ |= 1u << stage;
+  mark_ns_ = now;
 }
 
 }  // namespace net

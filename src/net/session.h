@@ -1,17 +1,42 @@
 #ifndef MAGIC_NET_SESSION_H_
 #define MAGIC_NET_SESSION_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/query_service.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 
 namespace magic {
 namespace net {
+
+/// The wire layer's instruments, registered in the service's one
+/// MetricsRegistry. Each request is timed from its frame being fully read
+/// to its reply being written (`magicdb_net_request_ns`), and split into
+/// stages charged back to back, so the stage histograms sum to the
+/// request: parse (verb, options, seeds, query text), dispatch (the
+/// QueryService call; for STREAM, every cursor pull), serialize
+/// (rendering the reply) and write_frame (the send syscall). A client's
+/// round trip minus `magicdb_net_request_ns` is the kernel/wire gap.
+/// The connection gauge is always live; the histograms read the clock
+/// only when `timed` (the service's obs.enabled).
+struct NetMetrics {
+  enum Stage { kParse, kDispatch, kSerialize, kWriteFrame, kNumStages };
+
+  static NetMetrics Register(obs::MetricsRegistry& registry, bool timed);
+
+  std::array<obs::Histogram*, kNumStages> stage_ns{};
+  obs::Histogram* request_ns = nullptr;
+  obs::Gauge* connections = nullptr;
+  bool timed = false;
+};
 
 /// Everything one connection needs from the process hosting the server.
 /// Shared by every session; all of it is either immutable for the server's
@@ -28,6 +53,7 @@ struct ServeContext {
   /// at or above this line are rejected (CheckFrozenPredicate).
   size_t frozen_preds = 0;
   size_t max_request_frame = kMaxRequestFrame;
+  NetMetrics metrics;
 };
 
 /// One connection's protocol state: the prepared forms it has named, fed
@@ -54,7 +80,8 @@ struct ServeContext {
 ///       rule of the evaluated (rewritten/adorned) program carrying that
 ///       run's fixpoint profile (`% <i> evals=<n> firings=<n> ...
 ///       rule=<text>`); cache-served answers ran no fixpoint and carry
-///       none.
+///       none. `strategy=`/`sip=` answer InvalidArgument: they shape the
+///       compiled form, so they are PREPARE options.
 ///   STREAM <name> [seed...] [limit=N] [deadline_ms=N] [profile=1]
 ///       Like QUERY but rows arrive as separate `*`-prefixed frames while
 ///       the fixpoint runs (derivation order, deduplicated, unsorted),
@@ -116,9 +143,22 @@ class Session {
   /// write failed (peer gone).
   bool Reply(WireCode code, const std::string& text);
 
+  /// Writes one reply frame: the time since the last mark is charged to
+  /// serialize, the send itself to write_frame.
+  bool Send(std::string_view frame);
+
+  /// Charges the time since the previous mark to `stage`. Reads no clock
+  /// when the metrics are untimed.
+  void Mark(NetMetrics::Stage stage);
+
   int fd_;
   const ServeContext* ctx_;
   std::unordered_map<std::string, PreparedEntry> forms_;
+
+  /// The current request's stage clock (see NetMetrics).
+  uint64_t mark_ns_ = 0;
+  std::array<uint64_t, NetMetrics::kNumStages> stage_ns_{};
+  unsigned stages_charged_ = 0;  // bit per stage this request touched
 };
 
 }  // namespace net

@@ -1,6 +1,9 @@
 #include "net/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <cstring>
@@ -25,20 +28,6 @@ ssize_t RecvAll(int fd, char* buf, size_t len) {
     return -1;
   }
   return static_cast<ssize_t>(got);
-}
-
-bool SendAll(int fd, const char* buf, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -69,8 +58,33 @@ bool WriteFrame(int fd, std::string_view payload) {
   uint32_t len = static_cast<uint32_t>(payload.size());
   char header[4] = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
                     static_cast<char>(len >> 8), static_cast<char>(len)};
-  if (!SendAll(fd, header, sizeof(header))) return false;
-  return SendAll(fd, payload.data(), payload.size());
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    // Short write: drop the fully sent pieces, trim the partial one.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return true;
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 namespace {

@@ -49,7 +49,22 @@ FrameResult ReadFrame(int fd, size_t max_payload, std::string* out);
 /// Writes one frame (header + payload), handling short writes. Returns
 /// false on any transport error, including a peer that hung up (EPIPE is
 /// suppressed via MSG_NOSIGNAL; it reports as false, not a signal).
+///
+/// Latency invariant: a frame leaves in ONE syscall (header and payload
+/// gathered by sendmsg; only a short write loops), and every TCP socket
+/// that carries frames has TCP_NODELAY set (SetNoDelay, on the accepted
+/// fd and on the client fd). Both halves matter. Two sends per frame let
+/// Nagle's algorithm hold the payload behind the unacknowledged header
+/// until the peer's delayed ACK fires, ~40 ms later, on every frame. One
+/// send per frame fixes a request/reply exchange, but a STREAM reply is
+/// many frames back to back, and without TCP_NODELAY each row frame after
+/// the first again waits for the delayed ACK. The NetStallTest suite
+/// fails on either regression.
 bool WriteFrame(int fd, std::string_view payload);
+
+/// Sets TCP_NODELAY on a connected TCP socket (see WriteFrame). Best
+/// effort: a socket without it still works, only slower.
+void SetNoDelay(int fd);
 
 /// Thread-safe strerror for status messages: std::strerror formats into a
 /// shared static buffer (clang-tidy concurrency-mt-unsafe), and this layer

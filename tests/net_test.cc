@@ -1,15 +1,21 @@
 // The wire: the shared WireCode table, the frame layer, and a live
 // MagicServer end to end — prepare/query/stream/apply/stats/close, the
 // hostile-input paths (torn, oversized, garbage frames), mid-stream client
-// disconnect, deadlines, and concurrent clients reading under a live APPLY
-// writer. The suites are named Net* so the CI ThreadSanitizer leg picks
-// them up by regex.
+// disconnect, deadlines, concurrent clients reading under a live APPLY
+// writer, the wire-layer instruments in the service's metrics registry,
+// and round-trip latency regressions (the Nagle/delayed-ACK stall). The
+// suites are named Net* so the CI ThreadSanitizer leg picks them up by
+// regex.
 
 #include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -333,6 +339,109 @@ TEST_F(NetServerTest, OversizedFrameAnswersProtocolAndCloses) {
             FrameResult::kEof);
 }
 
+TEST_F(NetServerTest, FormOptionsOnQueryAndStreamAreRejected) {
+  StartServer();
+  MagicClient client = Connect();
+  ASSERT_EQ(client.Call("PREPARE anc anc(c0, Y) strategy=gc")->code,
+            WireCode::kOk);
+  // The form compiled with its strategy at PREPARE; a QUERY/STREAM option
+  // could only be ignored, so it is refused instead.
+  auto query = client.Call("QUERY anc c0 strategy=gsms");
+  ASSERT_TRUE(query.ok());
+  EXPECT_EQ(query->code, WireCode::kInvalidArgument);
+  EXPECT_EQ(query->head, "strategy= is a PREPARE option");
+  auto streamed = client.Stream("STREAM anc c0 sip=left_to_right",
+                                [](const std::string&) { return true; });
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->code, WireCode::kInvalidArgument);
+  EXPECT_EQ(streamed->head, "sip= is a PREPARE option");
+  // The session survives, and the PREPAREd strategy is the one served.
+  auto served = client.Call("QUERY anc c0");
+  ASSERT_TRUE(served.ok());
+  ASSERT_EQ(served->code, WireCode::kOk) << served->head;
+  EXPECT_EQ(served->lines.size(), 11u);
+  QueryService::Stats stats = service_->stats();
+  ASSERT_EQ(stats.forms.size(), 1u);
+  EXPECT_EQ(stats.forms[0].strategy, "gc");
+}
+
+/// Polls `done` for up to five seconds (session threads record their
+/// instruments after the reply is on the wire).
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST_F(NetServerTest, WireStagesLandInTheOneRegistry) {
+  StartServer();
+  obs::MetricsRegistry& registry = service_->metrics();
+  obs::Gauge* connections = registry.GetGauge("magicdb_net_connections");
+  {
+    MagicClient client = Connect();
+    ASSERT_EQ(client.Call("PREPARE anc anc(c3, Y)")->code, WireCode::kOk);
+    EXPECT_EQ(connections->value(), 1);
+    ASSERT_EQ(client.Call("QUERY anc c3")->code, WireCode::kOk);
+    ASSERT_EQ(client.Call("QUERY anc c4")->code, WireCode::kOk);
+    ASSERT_EQ(client
+                  .Stream("STREAM anc c3",
+                          [](const std::string&) { return true; })
+                  ->code,
+              WireCode::kOk);
+  }
+  // The session's last records precede its connection-gauge release.
+  ASSERT_TRUE(Eventually([&] { return connections->value() == 0; }));
+
+  const obs::HistogramSnapshot request =
+      registry.GetHistogram("magicdb_net_request_ns")->Snapshot();
+  EXPECT_EQ(request.count, 4u);
+  EXPECT_GT(request.sum, 0u);
+  // Every request went through all four stages, charged back to back, so
+  // the stage totals reconcile exactly with the request total.
+  uint64_t stage_sum = 0;
+  for (const char* name :
+       {"magicdb_net_parse_ns", "magicdb_net_dispatch_ns",
+        "magicdb_net_serialize_ns", "magicdb_net_write_frame_ns"}) {
+    const obs::HistogramSnapshot stage =
+        registry.GetHistogram(name)->Snapshot();
+    EXPECT_EQ(stage.count, 4u) << name;
+    stage_sum += stage.sum;
+  }
+  EXPECT_EQ(stage_sum, request.sum);
+
+  const std::string text = service_->MetricsText();
+  EXPECT_NE(text.find("# TYPE magicdb_net_request_ns histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("magicdb_net_connections 0"), std::string::npos);
+}
+
+TEST_F(NetServerTest, WireTimingOffRecordsNoLatency) {
+  QueryServiceOptions options;
+  options.obs.enabled = false;
+  StartServer(options);
+  obs::MetricsRegistry& registry = service_->metrics();
+  obs::Gauge* connections = registry.GetGauge("magicdb_net_connections");
+  {
+    MagicClient client = Connect();
+    ASSERT_EQ(client.Call("PREPARE anc anc(c3, Y)")->code, WireCode::kOk);
+    ASSERT_EQ(client.Call("QUERY anc c3")->code, WireCode::kOk);
+    // The connection gauge is a plain counter and stays live.
+    EXPECT_EQ(connections->value(), 1);
+  }
+  ASSERT_TRUE(Eventually([&] { return connections->value() == 0; }));
+  for (const char* name :
+       {"magicdb_net_request_ns", "magicdb_net_parse_ns",
+        "magicdb_net_dispatch_ns", "magicdb_net_serialize_ns",
+        "magicdb_net_write_frame_ns"}) {
+    EXPECT_EQ(registry.GetHistogram(name)->Snapshot().count, 0u) << name;
+  }
+}
+
 TEST_F(NetServerTest, DeadlineExpiryReportsOnTheFinalFrame) {
   StartServer();
   MagicClient client = Connect();
@@ -350,6 +459,74 @@ TEST_F(NetServerTest, DeadlineExpiryReportsOnTheFinalFrame) {
   EXPECT_EQ(streamed->code, WireCode::kDeadlineExceeded) << streamed->head;
   // The session survives an expired deadline; it is a request outcome.
   EXPECT_EQ(client.Call("QUERY anc c5")->code, WireCode::kOk);
+}
+
+// --- round-trip latency: no Nagle/delayed-ACK stall -------------------------
+
+/// A warm round trip costs microseconds of server time, so a median in the
+/// tens of milliseconds can only be the kernel holding a frame back: Nagle
+/// delaying a small send behind unacknowledged data until the peer's
+/// delayed ACK fires (~40 ms). The bound is a quarter of that floor, so
+/// the stall fails every time while sanitizer builds keep wide headroom.
+constexpr double kStallBoundMs = 10.0;
+constexpr int kRoundTrips = 64;
+
+double MedianMs(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return (ms[ms.size() / 2 - 1] + ms[ms.size() / 2]) / 2;
+}
+
+double ElapsedMs(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+using NetStallTest = NetServerTest;
+
+TEST_F(NetStallTest, WarmQueryRoundTripIsNotStalled) {
+  StartServer();
+  MagicClient client = Connect();
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  ASSERT_EQ(client.Call("PREPARE anc anc(c3, Y)")->code, WireCode::kOk);
+  ASSERT_EQ(client.Call("QUERY anc c3")->code, WireCode::kOk);  // warm
+  std::vector<double> ms;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto reply = client.Call("QUERY anc c3");
+    ms.push_back(ElapsedMs(start));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->lines.size(), 8u);
+  }
+  EXPECT_LT(MedianMs(ms), kStallBoundMs);
+}
+
+/// STREAM replies with many frames back to back. One send per frame is
+/// not enough there: without TCP_NODELAY on the server's socket each row
+/// frame after the first waits for the client's delayed ACK.
+TEST_F(NetStallTest, MultiRowStreamRoundTripIsNotStalled) {
+  StartServer();
+  MagicClient client = Connect();
+  ASSERT_EQ(client.Call("PREPARE anc anc(c3, Y)")->code, WireCode::kOk);
+  std::vector<double> ms;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    size_t rows = 0;
+    const auto start = std::chrono::steady_clock::now();
+    auto reply = client.Stream("STREAM anc c3", [&](const std::string&) {
+      ++rows;
+      return true;
+    });
+    ms.push_back(ElapsedMs(start));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->code, WireCode::kOk) << reply->head;
+    ASSERT_EQ(rows, 8u);
+  }
+  EXPECT_LT(MedianMs(ms), kStallBoundMs);
 }
 
 /// A longer chain so a STREAM has many rows in flight to abandon.

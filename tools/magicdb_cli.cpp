@@ -9,7 +9,8 @@
 //   query "QUERY(...)" [limit=N ...]  one-shot: prepared forms are
 //                                     per-session, so an operand that IS
 //                                     a query text (contains '(') sends
-//                                     PREPARE + QUERY over one connection
+//                                     PREPARE + QUERY over one connection;
+//                                     strategy=S / sip=S go on the PREPARE
 //   stream NAME [SEED...] [...]       like query, but rows print as the
 //                                     fixpoint derives them (chunked);
 //                                     accepts the one-shot query form too
@@ -30,6 +31,7 @@
 //
 // Examples:
 //   magicdb-cli --port 4617 query "anc(c0, Y)" limit=10
+//   magicdb-cli --port 4617 query "anc(c0, Y)" strategy=gc
 //   magicdb-cli --port 4617 stream "anc(c0, Y)"
 //   printf '+par(c9,c10).\n' | magicdb-cli --port 4617 apply
 //   magicdb-cli --port 4617 stats
@@ -41,6 +43,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/client.h"
@@ -110,8 +113,15 @@ int main(int argc, char** argv) {
     }
     for (int j = i; j < argc; ++j) {
       if (verb == "apply") break;  // apply's operand is the payload file
-      request += ' ';
-      request += argv[j];
+      // strategy=/sip= shape the compiled form, so in the one-shot form
+      // they belong on the PREPARE line (QUERY/STREAM reject them).
+      const std::string_view word = argv[j];
+      const bool form_option =
+          word.starts_with("strategy=") || word.starts_with("sip=");
+      std::string& line =
+          !prepare_first.empty() && form_option ? prepare_first : request;
+      line += ' ';
+      line += argv[j];
     }
   } else {
     std::fprintf(stderr, "magicdb-cli: unknown command: %s\n", verb.c_str());
