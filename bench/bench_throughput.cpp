@@ -1,7 +1,7 @@
 // bench_throughput — QPS of the concurrent QueryService vs. thread count.
 //
 //   bench_throughput [--threads N] [--queries M] [--workload NAME]
-//                    [--mode NAME]
+//                    [--mode NAME] [--large-facts N]
 //
 // Serves M queries (instances of one prepared form, constants cycling over
 // the workload's nodes) through QueryService at thread counts 1, 2, 4, ...
@@ -53,6 +53,15 @@
 //           facts per second — the fixpoint engine's raw speed, visible
 //           above serving noise). Not part of `all`: building the EDB
 //           takes longer than every other mode combined.
+//   mutate_large  the `mutate` write mix on eval_large's EDB: --threads
+//           pool threads serve the tail seeds (cache at its default
+//           budget) while a writer toggles one par tuple through
+//           ApplyWrites — a retract that moves the last row into the
+//           hole, then a reinsert that appends. The line adds
+//           publish_p50_ms/publish_p95_ms and bytes_copied_p50 (the
+//           magicdb_write_bytes_copied median): copy-on-write must stay
+//           O(delta) on a million facts. Not part of `all`, like
+//           eval_large.
 //   serve   the wire: an in-process MagicServer on an ephemeral port,
 //           max(2, threads) MagicClient connections, and an OPEN-LOOP
 //           arrival schedule (request i is due at i/rate seconds; late
@@ -625,7 +634,9 @@ void RunCase(BenchCase& c, size_t max_threads, const std::string& mode,
   }
 }
 
-void RunEvalLarge(size_t queries, size_t large_facts) {
+/// The million-fact DAG case eval_large and mutate_large share: ~8 edges
+/// per node, queries cycling over the DAG's tail region.
+BenchCase MakeLargeDagCase(size_t queries, size_t large_facts) {
   constexpr int kSpan = 16;
   constexpr int kTail = 512;  // seeds come from the last kTail nodes
   const int nodes =
@@ -641,6 +652,11 @@ void RunEvalLarge(size_t queries, size_t large_facts) {
     tail_nodes.push_back("c" + std::to_string(i));
   }
   c.batch = CycleInstances(c.workload, tail_nodes, queries);
+  return c;
+}
+
+void RunEvalLarge(size_t queries, size_t large_facts) {
+  BenchCase c = MakeLargeDagCase(queries, large_facts);
   std::vector<std::vector<TermId>> seeds = SeedValues(c);
 
   // Single stream, cache off: this line prices the fixpoint itself, not
@@ -682,6 +698,72 @@ void RunEvalLarge(size_t queries, size_t large_facts) {
            failures, service.stats(), extra);
 }
 
+void RunMutateLarge(size_t threads, size_t queries, size_t large_facts) {
+  BenchCase c = MakeLargeDagCase(queries, large_facts);
+  std::vector<std::vector<TermId>> seeds = SeedValues(c);
+  Universe& u = *c.workload.universe;
+  const PredId par = *u.predicates().Find(*u.symbols().Find("par"), 2);
+  // The toggled tuple is par's row 0 (the edge c0 -> c1, far upstream of
+  // every tail seed): retracting it moves the last row into slot 0, and
+  // reinserting it appends a row, so both copy-on-write paths are priced.
+  const Relation* rel = c.workload.db.Find(par);
+  const std::vector<TermId> edge(rel->Row(0).begin(), rel->Row(0).end());
+
+  // Reads under a write mix, cache at its default budget as in `mutate`.
+  QueryServiceOptions options;
+  options.num_threads = threads;
+  QueryService service(c.workload.program, c.workload.db, options);
+  QueryRequest exemplar;
+  exemplar.query = c.workload.query;
+  auto handle = service.Prepare(exemplar);
+  if (!handle.ok()) {
+    std::fprintf(stderr, "bench_throughput: %s\n",
+                 handle.status().ToString().c_str());
+    return;
+  }
+  // Warm once: the first probe builds the million-row par index.
+  (void)service.Submit(*handle, seeds[0]).get();
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    bool present = true;
+    while (!stop.load(std::memory_order_relaxed)) {
+      WriteBatch batch;
+      if (present) {
+        batch.Retract(par, edge);
+      } else {
+        batch.Insert(par, edge);
+      }
+      if (service.ApplyWrites(batch).ok()) present = !present;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (!present) {
+      WriteBatch undo;
+      undo.Insert(par, edge);
+      (void)service.ApplyWrites(undo);
+    }
+  });
+  Stopwatch watch;
+  auto [total_answers, failures] = ServeSeeds(service, *handle, seeds);
+  const double seconds = watch.ElapsedSeconds();
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  // The ROADMAP's O(delta) success line: publish latency (build+publish,
+  // queue wait excluded) and the bytes each batch copied, on a relation
+  // whose whole-relation clone used to take hundreds of milliseconds.
+  const QueryService::Stats stats = service.stats();
+  char extra[256];
+  std::snprintf(extra, sizeof(extra),
+                "\"edb_facts\":%zu,\"publish_p50_ms\":%.3f,"
+                "\"publish_p95_ms\":%.3f,\"bytes_copied_p50\":%.0f,",
+                c.workload.db.TotalFacts(),
+                stats.write_publish.Quantile(0.50) / 1e6,
+                stats.write_publish.Quantile(0.95) / 1e6,
+                stats.write_bytes_copied.Quantile(0.50));
+  EmitLine(c, "mutate_large", threads, seeds.size(), seconds, total_answers,
+           failures, stats, extra);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -710,7 +792,7 @@ int main(int argc, char** argv) {
           "usage: bench_throughput [--threads N] [--queries M] "
           "[--workload ancestor|samegen|all] "
           "[--mode batch|handle|limit1|stream|repeat|strategy|mutate|serve|"
-          "eval_large|all] [--rate QPS] [--large-facts N]\n");
+          "eval_large|mutate_large|all] [--rate QPS] [--large-facts N]\n");
       return 2;
     }
   }
@@ -725,7 +807,7 @@ int main(int argc, char** argv) {
   if (mode != "batch" && mode != "handle" && mode != "limit1" &&
       mode != "stream" && mode != "repeat" && mode != "strategy" &&
       mode != "mutate" && mode != "serve" && mode != "eval_large" &&
-      mode != "all") {
+      mode != "mutate_large" && mode != "all") {
     std::fprintf(stderr, "bench_throughput: unknown mode \"%s\"\n",
                  mode.c_str());
     return 2;
@@ -734,6 +816,10 @@ int main(int argc, char** argv) {
     // Its own workload and a single thread count: not part of `all`, so
     // the legacy modes' lines stay byte-comparable across the trajectory.
     RunEvalLarge(queries, large_facts);
+    return 0;
+  }
+  if (mode == "mutate_large") {
+    RunMutateLarge(max_threads, queries, large_facts);
     return 0;
   }
   if (workload == "ancestor" || workload == "all") {

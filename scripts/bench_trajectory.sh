@@ -15,8 +15,9 @@
 # to an in-process magicdb-serve, and the line records p50/p95/p99
 # latency measured from each request's *scheduled* arrival, so queueing
 # delay counts). MODE=eval_large runs the standalone million-fact
-# single-stream fixpoint mode; LARGE_FACTS (default 1000000) sets its
-# EDB size. Run from the repository root.
+# single-stream fixpoint mode and MODE=mutate_large the same EDB under a
+# one-tuple ApplyWrites mix (publish_p50_ms/publish_p95_ms); LARGE_FACTS
+# (default 1000000) sets their EDB size. Run from the repository root.
 #
 # The output file only ever grows by complete, validated records: the
 # bench writes to a temp file, complete records are labelled into a

@@ -204,6 +204,10 @@ QueryService::QueryService(const Program& program, const Database& db,
       "magicdb_write_publish_ns", {},
       "Per-batch version build+publish time (ticket redeemed -> "
       "published); excludes commit-queue wait");
+  write_bytes_copied_ = metrics_.GetHistogram(
+      "magicdb_write_bytes_copied", {},
+      "Per-batch bytes of row pages and index shards copied on write "
+      "(the new version's unshared part): O(delta), not O(relation)");
   compile_latency_ = metrics_.GetHistogram(
       "magicdb_compile_latency_ns", {},
       "Form compilation time (adorn + rewrite), paid once per form");
@@ -990,6 +994,7 @@ Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
   WriteResult result = versions_.Commit(*mutable_db_, batch);
   write_publish_->Record(
       static_cast<uint64_t>(publish.ElapsedSeconds() * 1e9));
+  write_bytes_copied_->Record(result.bytes_copied);
   writes_applied_->Add();
   {
     MutexLock lock(commit_mutex_);
@@ -1059,13 +1064,16 @@ void WriteFragmentKeys(const QueryService::Stats& stats, JsonWriter& w) {
   w.Key("form_truncated").Uint(all.truncated);
 }
 
-void WriteHistogramJson(const obs::HistogramSnapshot& h, JsonWriter& w) {
+/// One histogram as {count, sum_<unit>, p50_<unit>, p95_<unit>,
+/// p99_<unit>}; latency histograms are in ns.
+void WriteHistogramJson(const obs::HistogramSnapshot& h, JsonWriter& w,
+                        const std::string& unit = "ns") {
   w.BeginObject();
   w.Key("count").Uint(h.count);
-  w.Key("sum_ns").Uint(h.sum);
-  w.Key("p50_ns").Double(h.Quantile(0.5));
-  w.Key("p95_ns").Double(h.Quantile(0.95));
-  w.Key("p99_ns").Double(h.Quantile(0.99));
+  w.Key("sum_" + unit).Uint(h.sum);
+  w.Key("p50_" + unit).Double(h.Quantile(0.5));
+  w.Key("p95_" + unit).Double(h.Quantile(0.95));
+  w.Key("p99_" + unit).Double(h.Quantile(0.99));
   w.EndObject();
 }
 
@@ -1088,6 +1096,8 @@ std::string QueryService::Stats::Json() const {
   WriteHistogramJson(request_latency, w);
   w.Key("write_publish");
   WriteHistogramJson(write_publish, w);
+  w.Key("write_bytes_copied");
+  WriteHistogramJson(write_bytes_copied, w, "bytes");
   w.Key("forms").BeginArray();
   for (const FormStats& form : forms) {
     w.BeginObject();
@@ -1156,6 +1166,7 @@ QueryService::Stats QueryService::stats() const {
   stats.writes_applied = static_cast<size_t>(writes_applied_->value());
   stats.pending = pending_.load(std::memory_order_relaxed);
   stats.write_publish = write_publish_->Snapshot();
+  stats.write_bytes_copied = write_bytes_copied_->Snapshot();
   stats.versions_published = static_cast<size_t>(versions_.versions_published());
   stats.versions_retired = static_cast<size_t>(versions_.versions_retired());
   stats.writes_queued = static_cast<size_t>(writes_queued_gauge_->value());

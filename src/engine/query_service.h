@@ -362,6 +362,11 @@ class QueryService {
     /// Excludes ticket-queue wait; independent of in-flight fixpoints by
     /// construction (there is no drain).
     obs::HistogramSnapshot write_publish;
+    /// Per-batch bytes of row pages and index shards the published
+    /// version does not share with its predecessor (WriteResult::
+    /// bytes_copied): a one-tuple write into any size of relation stays
+    /// at a few pages and shards.
+    obs::HistogramSnapshot write_bytes_copied;
     /// End-to-end request latency (ns, admission anchor -> completion)
     /// across every served request: inline warm hits and evaluated ones.
     obs::HistogramSnapshot request_latency;
@@ -652,6 +657,8 @@ class QueryService {
   obs::Histogram* request_latency_ = nullptr;
   /// Per-batch version build+publish time (ticket redeemed -> published).
   obs::Histogram* write_publish_ = nullptr;
+  /// Per-batch bytes of pages and shards copied by copy-on-write.
+  obs::Histogram* write_bytes_copied_ = nullptr;
   /// Request-tier form compilation time.
   obs::Histogram* compile_latency_ = nullptr;
   /// Live queue depth of writers waiting for their commit ticket

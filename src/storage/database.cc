@@ -70,6 +70,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     uint64_t epoch_before = 0;
     std::unordered_map<std::vector<TermId>, int, TupleHash> net;
     bool cleared = false;
+    bool created = false;  // no relation existed before the batch
   };
   // Preds a Clear op lands on are force-cloned even when their slot is
   // unshared: the clone preserves the pre-batch tuple set for the
@@ -87,11 +88,8 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       // BEFORE the epoch guard binds to it.
       auto it = relations_.find(op.pred);
       if (it == relations_.end()) {
-        uint32_t arity = universe_->predicates().info(op.pred).arity;
-        it = relations_
-                 .emplace(op.pred, std::make_shared<Relation>(arity))
-                 .first;
-        it->second->BindEpochCounter(epoch_counter_.get());
+        it = Create(op.pred);
+        state.created = true;
       } else if (it->second.use_count() > 1 || clear_preds.contains(op.pred)) {
         state.original = it->second;
         it->second = std::make_shared<Relation>(*state.original);
@@ -152,33 +150,27 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       state.guard.reset();
       if (state.original != nullptr) {
         // The batch's scratch clone changed nothing: drop it and restore
-        // the pre-batch object, whose probe indices are still warm.
+        // the pre-batch object, so the new version shares it whole.
         relations_[pred] = std::move(state.original);
-      } else {
-        // Transient retracts may have invalidated the in-place indices,
-        // and the promise is that the first post-write probe pays no
-        // build.
-        rel.RebuildIndexes();
       }
       continue;
     }
     state.guard.reset();  // bump, exactly once
     if (rel.epoch() != state.epoch_before) ++result.relations_mutated;
-    rel.RebuildIndexes();
+    // What this relation's new version does not share with its old one:
+    // everything for a relation this batch created (original is null),
+    // only the copied pages and shards for a clone, nothing for one no
+    // snapshot shared (it was mutated in place).
+    if (state.created || state.original != nullptr) {
+      result.bytes_copied += rel.BytesNotSharedWith(state.original.get());
+    }
   }
   return result;
 }
 
 Relation& Database::GetOrCreate(PredId pred) {
   auto it = relations_.find(pred);
-  if (it == relations_.end()) {
-    uint32_t arity = universe_->predicates().info(pred).arity;
-    it = relations_.emplace(pred, std::make_shared<Relation>(arity)).first;
-    // Every relation reports its mutations into the database-wide epoch,
-    // so writes made directly through this reference are observed in O(1).
-    it->second->BindEpochCounter(epoch_counter_.get());
-    return *it->second;
-  }
+  if (it == relations_.end()) return *Create(pred)->second;
   std::shared_ptr<Relation>& slot = it->second;
   if (slot.use_count() > 1) {
     // Copy-on-write: a snapshot shares this relation, so mutations through
@@ -187,6 +179,21 @@ Relation& Database::GetOrCreate(PredId pred) {
     slot = std::make_shared<Relation>(*slot);
   }
   return *slot;
+}
+
+Database::RelationMap::iterator Database::Create(PredId pred) {
+  const uint32_t arity = universe_->predicates().info(pred).arity;
+  // Sharded: versions will share this relation, so its indices split
+  // into shards that copy-on-write can copy one at a time.
+  auto it = relations_
+                .emplace(pred, std::make_shared<Relation>(
+                                   arity, Relation::Sharding::kSplit))
+                .first;
+  // Every relation reports its mutations into the database-wide epoch,
+  // so writes made directly through a GetOrCreate reference are observed
+  // in O(1).
+  it->second->BindEpochCounter(epoch_counter_.get());
+  return it;
 }
 
 const Relation* Database::Find(PredId pred) const {

@@ -15,15 +15,26 @@ namespace magic {
 /// The extensional database D: a finite set of finite relations over a
 /// Universe shared with the programs evaluated against it.
 ///
-/// Relations live behind shared_ptr slots, which makes copying a Database
-/// an O(#relations) structural-sharing snapshot: the copy shares every
-/// Relation object (and the epoch counter) with the original. Mutation is
-/// copy-on-write — GetOrCreate and ApplyValidated clone a relation whose
-/// slot is shared before touching it — so a snapshot taken before a write
-/// keeps observing the exact pre-write tuple sets forever. This is the
-/// storage half of the MVCC serving design: VersionChain publishes these
-/// snapshots as immutable DatabaseVersions that readers pin for the whole
-/// evaluation while writers mutate the base without waiting for them.
+/// Sharing happens at two levels, so a write costs O(delta), not
+/// O(relation):
+///   * Relations live behind shared_ptr slots. Copying a Database is an
+///     O(#relations) snapshot that shares every Relation object (and the
+///     epoch counter) with the original.
+///   * A Relation is itself a persistent value (storage/relation.h): its
+///     row pages and index shards sit behind shared_ptrs, and cloning it
+///     copies only those pointer tables.
+/// Mutation is copy-on-write at both levels. GetOrCreate and
+/// ApplyValidated clone a relation whose slot is shared before touching
+/// it, and the clone then copies only the pages and shards the batch
+/// writes: one inserted tuple copies the last page and one shard per
+/// built index; one retracted tuple at most two pages and two shards per
+/// index. Untouched relations, pages and shards stay shared. A snapshot
+/// taken before a write therefore keeps observing the exact pre-write
+/// tuple sets forever, and a retired snapshot frees only what it alone
+/// held. This is the storage half of the MVCC serving design:
+/// VersionChain publishes these snapshots as immutable DatabaseVersions
+/// that readers pin for the whole evaluation while writers mutate the
+/// base without waiting for them.
 class Database {
  public:
   explicit Database(std::shared_ptr<Universe> universe)
@@ -56,9 +67,10 @@ class Database {
   /// transient changes cancel out (an insert of an absent tuple followed
   /// by its retract, or a Clear followed by reinsertion of the identical
   /// content); snapshots never see intermediate states, so no invalidation
-  /// is owed. Touched relations' probe indices are rebuilt before
-  /// returning so the first post-write probe pays no build. Returns what
-  /// changed, or the batch's validation error with nothing applied.
+  /// is owed. Built probe indices are patched by each op, so the first
+  /// post-write probe pays no build. Returns what changed (including the
+  /// bytes the batch copied), or the batch's validation error with
+  /// nothing applied.
   /// Requires exclusive access over the whole call, like AddFact —
   /// QueryService::ApplyWrites provides that with its FIFO commit ticket;
   /// pinned snapshot readers need no exclusion at all because every
@@ -98,14 +110,15 @@ class Database {
   }
   size_t TotalFacts() const;
 
-  const std::unordered_map<PredId, std::shared_ptr<Relation>>& relations()
-      const {
-    return relations_;
-  }
+  using RelationMap = std::unordered_map<PredId, std::shared_ptr<Relation>>;
+  const RelationMap& relations() const { return relations_; }
 
  private:
+  /// Adds `pred`'s (absent) relation, sharded and bound to the epoch.
+  RelationMap::iterator Create(PredId pred);
+
   std::shared_ptr<Universe> universe_;
-  std::unordered_map<PredId, std::shared_ptr<Relation>> relations_;
+  RelationMap relations_;
   std::shared_ptr<std::atomic<uint64_t>> epoch_counter_ =
       std::make_shared<std::atomic<uint64_t>>(0);
 };

@@ -93,6 +93,12 @@ struct WriteResult {
   size_t retracted = 0;  // tuples that were present
   size_t cleared = 0;    // non-empty relations cleared
   size_t relations_mutated = 0;
+  /// Bytes of row pages and index shards the new version holds that the
+  /// previous one did not (Relation::BytesNotSharedWith summed over the
+  /// NET-mutated relations): O(delta) under copy-on-write, so a
+  /// one-tuple batch reports a few pages and shards whatever the
+  /// relation's size.
+  size_t bytes_copied = 0;
 };
 
 }  // namespace magic

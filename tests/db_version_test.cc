@@ -136,6 +136,68 @@ TEST(DbVersionTest, CopyOnWriteSharesUntouchedRelations) {
       std::vector<TermId>{u.Constant("cw_a"), u.Constant("cw_b")}));
 }
 
+// Copy-on-write must copy O(delta), not O(relation): a one-tuple write
+// into a 10^5-fact relation with two built masks (plus the dedup index)
+// copies a page and a few index shards, read from the service's
+// magicdb_write_bytes_copied instrument. A whole-relation copy (the old
+// clone, or an accidental deep copy of pages or shards) reports megabytes
+// and fails here, independent of any timing.
+TEST(DbVersionTest, OneTupleWriteCopiesOnlyTheTouchedPagesAndShards) {
+  constexpr size_t kBound = 128 * 1024;
+  Workload w = MakeAncestorLargeDag(/*nodes=*/12500, /*edges=*/100000,
+                                    /*span=*/16, /*seed=*/7);
+  Universe& u = *w.universe;
+  PredId par = ParPred(w);
+  // Held so the pre-write object outlives the versions that share it.
+  const std::shared_ptr<Relation> original = w.db.relations().at(par);
+  const Relation* rel = original.get();
+  ASSERT_GE(rel->size(), 90000u);
+  std::vector<uint32_t> rows;
+  const std::vector<TermId> key = {u.Constant("c1")};
+  rel->Probe(0b01, key, 0, rel->size(), &rows);  // builds mask {1}
+  rel->Probe(0b10, key, 0, rel->size(), &rows);  // builds mask {2}
+  const size_t whole = rel->BytesNotSharedWith(nullptr);
+  ASSERT_GT(whole, 50 * kBound);  // the bound is far below a full copy
+  const std::vector<TermId> first(rel->Row(0).begin(), rel->Row(0).end());
+  const TermId fresh_a = u.Constant("sharing_a");
+  const TermId fresh_b = u.Constant("sharing_b");
+
+  QueryService service(w.program, w.db, QueryServiceOptions{});
+  auto copied_by = [&](const WriteBatch& batch) {
+    const uint64_t before = service.stats().write_bytes_copied.sum;
+    auto applied = service.ApplyWrites(batch);
+    EXPECT_TRUE(applied.ok());
+    EXPECT_EQ(applied->relations_mutated, 1u);
+    const uint64_t copied = service.stats().write_bytes_copied.sum - before;
+    EXPECT_EQ(copied, applied->bytes_copied);
+    return copied;
+  };
+
+  // Insert: the last page, one dedup shard, one shard per mask.
+  WriteBatch insert;
+  insert.Insert(par, {fresh_a, fresh_b});
+  const uint64_t insert_bytes = copied_by(insert);
+  EXPECT_GT(insert_bytes, 0u);
+  EXPECT_LE(insert_bytes, kBound);
+
+  // Retract row 0: the last row moves into its slot, so two pages and up
+  // to two shards per index are patched.
+  WriteBatch retract;
+  retract.Retract(par, first);
+  const uint64_t retract_bytes = copied_by(retract);
+  EXPECT_GT(retract_bytes, 0u);
+  EXPECT_LE(retract_bytes, kBound);
+  EXPECT_EQ(service.stats().write_bytes_copied.count, 2u);
+
+  // Copy-on-write left the pre-write object untouched; the base's new
+  // relation carries both writes.
+  EXPECT_TRUE(rel->Contains(first));
+  EXPECT_FALSE(rel->Contains(std::vector<TermId>{fresh_a, fresh_b}));
+  EXPECT_FALSE(w.db.Find(par)->Contains(first));
+  EXPECT_TRUE(
+      w.db.Find(par)->Contains(std::vector<TermId>{fresh_a, fresh_b}));
+}
+
 TEST(DbVersionTest, ReadersPinnedMidWriteSeeWholeVersionsOnly) {
   // The versioned-read property test: 8 reader threads pin and evaluate
   // through a live QueryService while a writer walks a single fact
