@@ -162,9 +162,8 @@ std::string SeedToString(const Universe& u, const std::vector<TermId>& seed) {
 QueryService::QueryService(const Program& program, const Database& db,
                            QueryServiceOptions options)
     : program_(program),
-      db_(db),
       options_(std::move(options)),
-      versions_(db_),
+      versions_(db),
       slow_log_(options_.obs.slow_query_capacity),
       cache_(AnswerCacheOptions{.max_bytes = options_.cache_bytes}),
       pool_(options_.num_threads != 0 ? options_.num_threads
@@ -381,13 +380,12 @@ bool QueryService::TryServeCached(CachedForm* cached,
   // reporting; they can never have been cached (fills follow successful
   // evaluations only).
   if (bound_values.size() != cached->form->bound_arity()) return false;
-  // No write fence is needed around the probe (the pre-MVCC design
-  // re-checked the epoch here): a hit keyed at version V is the complete
-  // answer for V, and serving it while version V+1 publishes concurrently
-  // is linearizable — the request overlapped the write. Post-write reads
-  // are still never stale, because a publish happens-before ApplyWrites
-  // returns, so a request submitted after the write probes at >= V+1 and
-  // misses every older entry.
+  // No write fence is needed around the probe: a hit keyed at version V is the
+  // complete answer for V, and serving it while version V+1 publishes
+  // concurrently is linearizable — the request overlapped the write. Post-write
+  // reads are still never stale, because a publish happens-before ApplyWrites
+  // returns, so a request submitted after the write probes at >= V+1 and misses
+  // every older entry.
   std::shared_ptr<const AnswerCache::Tuples> tuples =
       cache_.Get(CacheTag(cached->form.get()), bound_values, version);
   bool subsumed = false;
@@ -616,13 +614,13 @@ void QueryService::DispatchForm(
                 limits = std::move(limits), sink = std::move(sink),
                 done = std::move(done), admitted, trace = std::move(trace),
                 t_anchor, t_submit]() mutable {
-    // Pin a snapshot for the whole evaluation: one atomic load, never
-    // blocks a writer, and the snapshot's relations can never mutate out
-    // from under the fixpoint (writers clone-on-write instead). The
-    // second-chance probe and the fill below are keyed by the pinned
-    // version — the version of the data this evaluation actually reads —
-    // even when the request was dispatched before a write and evaluated
-    // after it.
+    // Pin a snapshot for the whole evaluation: one pointer copy that never
+    // waits for a writer's batch, and the snapshot's relations can never
+    // mutate out from under the fixpoint (writers clone-on-write
+    // instead). The second-chance probe and the fill below are keyed by
+    // the pinned version — the version of the data this evaluation
+    // actually reads — even when the request was dispatched before a
+    // write and evaluated after it.
     const std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
     if (trace != nullptr) {
       trace->Record(obs::Stage::kQueueWait, t_submit, obs::Trace::NowNs());
@@ -967,8 +965,8 @@ std::vector<QueryAnswer> QueryService::AnswerBatch(
 Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
   if (mutable_db_ == nullptr) {
     return Status::FailedPrecondition(
-        "service was constructed over a const Database; in-band writes "
-        "need the mutable-Database constructor");
+        "service was constructed over a const Database; writes need the "
+        "mutable-Database constructor");
   }
   // Validate before queueing: a malformed batch must never hold a commit
   // ticket (or even enqueue behind one).
@@ -986,7 +984,7 @@ Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
     while (ticket != commit_serving_) commit_turn_.wait(lock);
     writes_queued_gauge_->Add(-1);
   }
-  // Build version N+1 and publish it with one release store. No drain:
+  // Build version N+1 and swap it in as the chain's head. No drain:
   // in-flight fixpoints keep their pinned snapshots (the storage layer
   // clones any relation a snapshot still shares before mutating it), so
   // publish latency is independent of the longest-running evaluation.

@@ -42,8 +42,7 @@ Result<WriteResult> Database::Apply(const WriteBatch& batch) {
 
 WriteResult Database::ApplyValidated(const WriteBatch& batch) {
   WriteResult result;
-  // One epoch-deferral guard per touched relation: however many ops land
-  // on it, its epoch moves by exactly one iff the tuple set NET-changed.
+  // A touched relation counts as mutated iff its tuple set NET-changed.
   // Net accounting: set semantics make every successful insert/retract of
   // one tuple alternate (+1/-1), so a relation whose per-tuple nets are
   // all zero ends the batch with the exact tuple set it started with. A
@@ -52,7 +51,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
   // against the pre-batch clone instead — a Clear followed by reinsertion
   // of the identical content is net-zero too. Snapshots never see the
   // transient states (shared relations are cloned before mutation), so a
-  // net-zero relation's epoch must not move and its warm cached answers
+  // net-zero relation owes no new version and its warm cached answers
   // stay live.
   struct TupleHash {
     size_t operator()(const std::vector<TermId>& tuple) const {
@@ -66,8 +65,6 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     /// for the content comparison and the net-zero restore below.
     std::shared_ptr<Relation> original;
     Relation* rel = nullptr;
-    std::unique_ptr<Relation::EpochBatch> guard;
-    uint64_t epoch_before = 0;
     std::unordered_map<std::vector<TermId>, int, TupleHash> net;
     bool cleared = false;
     bool created = false;  // no relation existed before the batch
@@ -84,8 +81,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     PredState& state = touched[op.pred];
     if (state.rel == nullptr) {
       // First touch: establish the batch's mutable relation object once —
-      // COW if a snapshot shares the slot, force-clone for Clear preds —
-      // BEFORE the epoch guard binds to it.
+      // COW if a snapshot shares the slot, force-clone for Clear preds.
       auto it = relations_.find(op.pred);
       if (it == relations_.end()) {
         it = Create(op.pred);
@@ -95,8 +91,6 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
         it->second = std::make_shared<Relation>(*state.original);
       }
       state.rel = it->second.get();
-      state.epoch_before = state.rel->epoch();
-      state.guard = std::make_unique<Relation::EpochBatch>(*state.rel);
     }
     Relation& rel = *state.rel;
     switch (op.kind) {
@@ -146,8 +140,6 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       }
     }
     if (net_zero) {
-      state.guard->DiscardPendingBump();
-      state.guard.reset();
       if (state.original != nullptr) {
         // The batch's scratch clone changed nothing: drop it and restore
         // the pre-batch object, so the new version shares it whole.
@@ -155,8 +147,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       }
       continue;
     }
-    state.guard.reset();  // bump, exactly once
-    if (rel.epoch() != state.epoch_before) ++result.relations_mutated;
+    ++result.relations_mutated;
     // What this relation's new version does not share with its old one:
     // everything for a relation this batch created (original is null),
     // only the copied pages and shards for a clone, nothing for one no
@@ -174,8 +165,7 @@ Relation& Database::GetOrCreate(PredId pred) {
   std::shared_ptr<Relation>& slot = it->second;
   if (slot.use_count() > 1) {
     // Copy-on-write: a snapshot shares this relation, so mutations through
-    // the returned reference must land on a private clone. (The aggregate
-    // epoch pointer carries over — snapshots share the counter.)
+    // the returned reference must land on a private clone.
     slot = std::make_shared<Relation>(*slot);
   }
   return *slot;
@@ -185,15 +175,10 @@ Database::RelationMap::iterator Database::Create(PredId pred) {
   const uint32_t arity = universe_->predicates().info(pred).arity;
   // Sharded: versions will share this relation, so its indices split
   // into shards that copy-on-write can copy one at a time.
-  auto it = relations_
-                .emplace(pred, std::make_shared<Relation>(
-                                   arity, Relation::Sharding::kSplit))
-                .first;
-  // Every relation reports its mutations into the database-wide epoch,
-  // so writes made directly through a GetOrCreate reference are observed
-  // in O(1).
-  it->second->BindEpochCounter(epoch_counter_.get());
-  return it;
+  return relations_
+      .emplace(pred,
+               std::make_shared<Relation>(arity, Relation::Sharding::kSplit))
+      .first;
 }
 
 const Relation* Database::Find(PredId pred) const {

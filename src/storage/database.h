@@ -1,7 +1,6 @@
 #ifndef MAGIC_STORAGE_DATABASE_H_
 #define MAGIC_STORAGE_DATABASE_H_
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 
@@ -18,8 +17,8 @@ namespace magic {
 /// Sharing happens at two levels, so a write costs O(delta), not
 /// O(relation):
 ///   * Relations live behind shared_ptr slots. Copying a Database is an
-///     O(#relations) snapshot that shares every Relation object (and the
-///     epoch counter) with the original.
+///     O(#relations) snapshot that shares every Relation object with the
+///     original.
 ///   * A Relation is itself a persistent value (storage/relation.h): its
 ///     row pages and index shards sit behind shared_ptrs, and cloning it
 ///     copies only those pointer tables.
@@ -40,9 +39,7 @@ class Database {
   explicit Database(std::shared_ptr<Universe> universe)
       : universe_(std::move(universe)) {}
 
-  /// Structural-sharing snapshot (see class comment). The copy shares the
-  /// epoch counter with the source, so each relation's bound aggregate
-  /// pointer stays valid no matter which of the two dies first.
+  /// Structural-sharing snapshot (see class comment).
   Database(const Database&) = default;
   Database& operator=(const Database&) = delete;
 
@@ -57,20 +54,20 @@ class Database {
   Status AddFact(PredId pred, std::vector<TermId> args);
 
   /// Removes every fact of `pred` (a no-op when the relation was never
-  /// created or is already empty — either way the fact set is unchanged,
-  /// so the epoch stays put). Requires exclusive access, like AddFact.
+  /// created or is already empty). Requires exclusive access, like
+  /// AddFact.
   void Clear(PredId pred);
 
-  /// Applies one write batch: ops in insertion order, the mutation epoch
-  /// bumped exactly once per relation whose tuple set NET-changed — a
-  /// duplicate-only batch moves no epoch, and neither does one whose
-  /// transient changes cancel out (an insert of an absent tuple followed
-  /// by its retract, or a Clear followed by reinsertion of the identical
-  /// content); snapshots never see intermediate states, so no invalidation
-  /// is owed. Built probe indices are patched by each op, so the first
-  /// post-write probe pays no build. Returns what changed (including the
-  /// bytes the batch copied), or the batch's validation error with
-  /// nothing applied.
+  /// Applies one write batch: ops in insertion order, with
+  /// `relations_mutated` counting the relations whose tuple set
+  /// NET-changed — a duplicate-only batch mutates none, and neither does
+  /// one whose transient changes cancel out (an insert of an absent tuple
+  /// followed by its retract, or a Clear followed by reinsertion of the
+  /// identical content); snapshots never see intermediate states, so no
+  /// new version is owed. Built probe indices are patched by each op, so
+  /// the first post-write probe pays no build. Returns what changed
+  /// (including the bytes the batch copied), or the batch's validation
+  /// error with nothing applied.
   /// Requires exclusive access over the whole call, like AddFact —
   /// QueryService::ApplyWrites provides that with its FIFO commit ticket;
   /// pinned snapshot readers need no exclusion at all because every
@@ -84,18 +81,6 @@ class Database {
   /// batch is a checked error on arity mismatches and undefined on the
   /// rest.
   WriteResult ApplyValidated(const WriteBatch& batch);
-
-  /// The database's monotonically increasing mutation epoch. Every
-  /// relation handed out by GetOrCreate is bound to one shared counter
-  /// (heap-owned and shared across snapshots, so its address survives both
-  /// Database moves and copies), so *any* EDB write — including one made
-  /// directly through a GetOrCreate reference — advances it in O(1), and
-  /// reading it is a single atomic load. VersionChain compares this
-  /// counter against its head version's fill epoch to detect writes that
-  /// bypassed Commit (quiescent-point test mutations) and resynchronize.
-  uint64_t epoch() const {
-    return epoch_counter_->load(std::memory_order_acquire);
-  }
 
   /// Mutable access to one relation, cloning it first when the slot is
   /// shared with a snapshot (copy-on-write) so the snapshot's view never
@@ -114,13 +99,11 @@ class Database {
   const RelationMap& relations() const { return relations_; }
 
  private:
-  /// Adds `pred`'s (absent) relation, sharded and bound to the epoch.
+  /// Adds `pred`'s (absent) relation, sharded for sharing.
   RelationMap::iterator Create(PredId pred);
 
   std::shared_ptr<Universe> universe_;
   RelationMap relations_;
-  std::shared_ptr<std::atomic<uint64_t>> epoch_counter_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 }  // namespace magic

@@ -76,8 +76,6 @@ Relation::Relation(uint32_t arity, Sharding sharding)
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       max_shard_bits_(other.max_shard_bits_),
-      epoch_(other.epoch_.load(std::memory_order_acquire)),
-      aggregate_epoch_(other.aggregate_epoch_),
       rows_(other.rows_),
       pages_(other.pages_),
       last_page_rows_(other.last_page_rows_),
@@ -118,7 +116,6 @@ bool Relation::Insert(std::span<const TermId> tuple) {
   if (arity_ == 0) {
     if (zero_ary_count_ > 0) return false;
     zero_ary_count_ = 1;
-    BumpEpoch();
     return true;
   }
   const uint64_t hash = HashRange(tuple.begin(), tuple.end());
@@ -134,7 +131,6 @@ bool Relation::Insert(std::span<const TermId> tuple) {
     AddToIndex(*index, index == dedup_ ? hash : KeyHashForRow(mask, row),
                row);
   }
-  BumpEpoch();
   return true;
 }
 
@@ -143,7 +139,6 @@ bool Relation::Retract(std::span<const TermId> tuple) {
   if (arity_ == 0) {
     if (zero_ary_count_ == 0) return false;
     zero_ary_count_ = 0;
-    BumpEpoch();
     return true;
   }
   std::optional<uint32_t> found = FindRow(tuple);
@@ -173,15 +168,13 @@ bool Relation::Retract(std::span<const TermId> tuple) {
     pages_.pop_back();
     last_page_rows_ = pages_.empty() ? 0 : kPageRows;
   }
-  BumpEpoch();
   return true;
 }
 
 void Relation::Clear() {
-  if (size() == 0) return;  // tuple set unchanged: no spurious invalidation
+  if (size() == 0) return;  // already empty: nothing to release
   if (arity_ == 0) {
     zero_ary_count_ = 0;
-    BumpEpoch();
     return;
   }
   rows_ = 0;
@@ -190,7 +183,6 @@ void Relation::Clear() {
   // Built indices stay published and become empty; shards shared with a
   // snapshot are released, not cleared.
   for (const auto& [mask, index] : Indices().entries) *index = Index(0);
-  BumpEpoch();
 }
 
 bool Relation::Contains(std::span<const TermId> tuple) const {

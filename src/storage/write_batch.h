@@ -12,16 +12,16 @@
 namespace magic {
 
 /// An ordered group of EDB mutations — inserts, retracts, and per-predicate
-/// clears — applied as one unit at a quiescent point. The batch itself is a
-/// plain value: building one performs no validation and touches no storage,
-/// so batches can be assembled on any thread and shipped to the writer.
+/// clears — applied as one unit. The batch itself is a plain value: building
+/// one performs no validation and touches no storage, so batches can be
+/// assembled on any thread and shipped to the writer.
 ///
-/// Application (Database::Apply, or QueryService::ApplyWrites for the
-/// in-band path) is atomic with respect to readers: either the whole batch
-/// is visible or none of it. Ops apply in insertion order, so a batch may
-/// retract a tuple it inserted earlier (net no-op) or re-insert after a
-/// clear. Set semantics make most orders commute; order only matters
-/// between ops touching the same tuple or a clear of the same predicate.
+/// Application (Database::Apply, or QueryService::ApplyWrites once a service
+/// serves the Database) is atomic with respect to readers: either the whole
+/// batch is visible or none of it. Ops apply in insertion order, so a batch may
+/// retract a tuple it inserted earlier (net no-op) or re-insert after a clear.
+/// Set semantics make most orders commute; order only matters between ops
+/// touching the same tuple or a clear of the same predicate.
 class WriteBatch {
  public:
   enum class OpKind : uint8_t {
@@ -85,9 +85,9 @@ Status CheckFrozenPredicates(const Universe& u, const WriteBatch& batch,
                              size_t frozen_preds);
 
 /// What one applied batch changed. `relations_mutated` counts relations
-/// whose tuple set actually changed (each had its mutation epoch bumped
-/// exactly once); a duplicate-only batch reports zero everywhere and moves
-/// no epoch, so warm cache entries stay live.
+/// whose tuple set NET-changed, and a served batch publishes a new
+/// database version iff it is non-zero; a duplicate-only or net-zero
+/// batch publishes nothing, so warm cache entries stay live.
 struct WriteResult {
   size_t inserted = 0;   // tuples that were new
   size_t retracted = 0;  // tuples that were present

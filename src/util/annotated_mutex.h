@@ -31,23 +31,22 @@
 ///      (Release/RelWithDebInfo), so the serving hot path pays nothing.
 ///
 /// The rank order encodes the ROADMAP invariant directly. Readers take no
-/// service-wide lock at all (they pin an MVCC database version with one
-/// atomic load); what remains ranked is
+/// service-wide lock at all (they pin an MVCC database version by copying
+/// its head pointer under a leaf mutex); what remains ranked is
 ///
 ///   sessions (60) -> inflight (200) -> form (300)
-///     -> commit (340) -> version-resync (360) || data plane (>= 400)
+///     -> commit (340) -> data plane (>= 400) -> leaves (>= 860)
 ///
 /// with two refinements the prose contract always had but nothing
 /// enforced:
 ///
-///   * "The write path takes no service-tier lock" — the commit tier
-///     (kCommit, kVersionResync) ranks ABOVE inflight and form, so a
-///     writer that tried to touch dispatch state while holding its commit
-///     ticket mutex would abort by rank descent. SharedMutex additionally
-///     supports an exclusive-nest floor (acquisitions below the floor
-///     abort while the mutex is held exclusively) for seams that need a
-///     hard tier wall; the feature is rank-table-independent and covered
-///     by a synthetic death test.
+///   * "The write path takes no service-tier lock" — the commit ticket
+///     lock (kCommit) ranks ABOVE inflight and form, so a writer that
+///     tried to touch dispatch state while holding it would abort by rank
+///     descent. SharedMutex additionally supports an exclusive-nest floor
+///     (acquisitions below the floor abort while the mutex is held
+///     exclusively) for seams that need a hard tier wall; the feature is
+///     rank-table-independent and covered by a synthetic death test.
 ///   * "Overlay tables lock strictly overlay -> base" — overlay
 ///     symbol/predicate tables take a rank a step BELOW their base's, so
 ///     the reverse order (base held, overlay wanted) aborts.
@@ -60,13 +59,12 @@ namespace lock_rank {
 inline constexpr int kServerSessions = 60;  // net::MagicServer session map
 inline constexpr int kInflight = 200;       // QueryService::inflight_mutex_
 inline constexpr int kForm = 300;           // QueryService::form_mutex_
-/// The MVCC write tier: the FIFO commit ticket lock and the version
-/// chain's resync lock. Both rank above the dispatch tier (a writer never
-/// touches inflight/form state) and below the data plane (a committing
-/// writer clones relations and rebuilds their indices, so it takes
-/// kRelationIndex and symbol-table locks underneath).
+/// The MVCC write tier: the FIFO commit ticket lock. It ranks above the
+/// dispatch tier (a writer never touches inflight/form state) and below
+/// the data plane (a committing writer clones relations and patches their
+/// indices, so it may take kRelationIndex and symbol-table locks
+/// underneath).
 inline constexpr int kCommit = 340;         // QueryService::commit_mutex_
-inline constexpr int kVersionResync = 360;  // VersionChain::resync_mutex_
 /// SharedMutex exclusive-nest floor boundary: a seam constructed with this
 /// floor confines its exclusive holder to the data plane (>= 400). No
 /// production mutex currently uses it — the MVCC write path has no
@@ -92,6 +90,10 @@ inline constexpr int kCursor = 640;         // AnswerCursor::State::mutex
 /// is ever acquired under them.
 inline constexpr int kMetrics = 860;        // obs::MetricsRegistry::mutex_
 inline constexpr int kSlowLog = 870;        // obs::SlowQueryLog::mutex_
+/// The version chain's head pointer: a leaf held only to copy (Pin) or
+/// replace (Commit) one shared_ptr, so it is legal under the commit tier
+/// and the data plane alike, and nothing ranked is acquired under it.
+inline constexpr int kVersionHead = 880;    // VersionChain::head_mutex_
 /// Default for mutexes outside the documented order: they may be taken
 /// under anything but must be leaves (nothing ranked is taken under them).
 inline constexpr int kLeaf = 900;

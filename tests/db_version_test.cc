@@ -1,8 +1,7 @@
-// The MVCC spine (storage/db_version.h): pinned snapshots are immutable
-// under commits (copy-on-write isolates them), no-op commits publish
-// nothing, out-of-band quiescent writes resync on the next pin, versions
-// retire when their last pin drops, and — the property the whole design
-// exists for — concurrent readers pinned mid-write see exactly version N
+// The MVCC spine (storage/db_version.h): pinned snapshots are immutable under
+// commits (copy-on-write isolates them), no-op commits publish nothing,
+// versions retire when their last pin drops, and — the property the whole
+// design exists for — concurrent readers pinned mid-write see exactly version N
 // or N+1, never a torn mix. Run under TSan/ASan in CI.
 
 #include <gtest/gtest.h>
@@ -67,25 +66,6 @@ TEST(DbVersionTest, NoOpCommitPublishesNothing) {
   EXPECT_EQ(chain.versions_published(), 1u);
   EXPECT_EQ(chain.Pin()->version(), 1u);
   EXPECT_EQ(chain.current_version(), 1u);
-}
-
-TEST(DbVersionTest, OutOfBandQuiescentWriteResyncsOnPin) {
-  Workload w = MakeAncestorChain(4);
-  Universe& u = *w.universe;
-  PredId par = ParPred(w);
-  VersionChain chain(w.db);
-  EXPECT_EQ(chain.current_version(), 1u);
-
-  // A direct base mutation, no Commit involved (the documented
-  // quiescent-point contract): the next pin publishes a fresh snapshot.
-  ASSERT_TRUE(w.db.AddFact(par, {u.Constant("c3"), u.Constant("c4")}).ok());
-  EXPECT_EQ(chain.current_version(), 2u);  // probe path resyncs too
-  auto pinned = chain.Pin();
-  EXPECT_EQ(pinned->version(), 2u);
-  EXPECT_EQ(pinned->db().Find(par)->size(), 4u);
-  // Settled now: repeated pins publish nothing further.
-  EXPECT_EQ(chain.Pin()->version(), 2u);
-  EXPECT_EQ(chain.versions_published(), 2u);
 }
 
 TEST(DbVersionTest, VersionsRetireWhenTheLastPinDrops) {

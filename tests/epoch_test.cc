@@ -1,74 +1,140 @@
-// Mutation-epoch plumbing on Relation and Database, independent of the
-// AnswerCache that consumes it: epochs bump on writes (new-tuple inserts,
-// Clear), never on duplicate inserts or reads, and the database epoch
-// observes writes made directly through a GetOrCreate reference.
+// When a served database moves to a new version (its epoch, in these
+// suites' names): Relation's Insert/Retract report whether the tuple set
+// changed, Database::ApplyValidated's WriteResult counts the relations a
+// batch changed on net, and a VersionChain publishes exactly when that
+// count is non-zero — never for duplicate inserts, absent retracts,
+// clears of empty relations, reads, or batches whose changes cancel out,
+// and once for a batch however many ops it holds.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "ast/parser.h"
 #include "storage/database.h"
+#include "storage/db_version.h"
 #include "storage/relation.h"
 #include "storage/write_batch.h"
 
 namespace magic {
 namespace {
 
-TEST(RelationEpochTest, BumpsOnNewInsertOnly) {
-  Relation rel(2);
-  EXPECT_EQ(rel.epoch(), 0u);
+// par/2 holding c0 -> c1 -> c2 and an empty 0-ary flag/0, served through
+// a VersionChain the way QueryService::ApplyWrites serves a Database.
+class ServedEdbTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto parsed = ParseUnit(
+        "anc(X,Y) :- par(X,Y). go :- flag. par(c0, c1). par(c1, c2).");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    universe_ = parsed->program.universe();
+    facts_ = parsed->facts;
+    par_ = Pred("par", 2);
+    anc_ = Pred("anc", 2);
+    flag_ = Pred("flag", 0);
+    db_ = std::make_unique<Database>(universe_);
+    for (const Fact& fact : facts_) ASSERT_TRUE(db_->AddFact(fact).ok());
+    chain_ = std::make_unique<VersionChain>(*db_);
+  }
 
+  PredId Pred(const char* name, uint32_t arity) const {
+    return *universe_->predicates().Find(*universe_->symbols().Find(name),
+                                         arity);
+  }
+  TermId C(const char* name) const { return universe_->Constant(name); }
+
+  WriteResult Commit(const WriteBatch& batch) {
+    EXPECT_TRUE(batch.Validate(*universe_).ok());
+    return chain_->Commit(*db_, batch);
+  }
+  uint64_t Published() const { return chain_->versions_published(); }
+
+  std::shared_ptr<Universe> universe_;
+  std::vector<Fact> facts_;
+  PredId par_ = 0;
+  PredId anc_ = 0;
+  PredId flag_ = 0;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<VersionChain> chain_;
+};
+
+class RelationEpochTest : public ServedEdbTest {};
+class DatabaseEpochTest : public ServedEdbTest {};
+
+TEST_F(RelationEpochTest, BumpsOnNewInsertOnly) {
+  Relation rel(2);
   std::vector<TermId> t1 = {1, 2};
   EXPECT_TRUE(rel.Insert(t1));
-  EXPECT_EQ(rel.epoch(), 1u);
+  EXPECT_FALSE(rel.Insert(t1));  // duplicate: tuple set unchanged
+  EXPECT_TRUE(rel.Insert(std::vector<TermId>{1, 3}));
+  EXPECT_EQ(rel.size(), 2u);
 
-  // Duplicate insert: tuple set unchanged, epoch unchanged.
-  EXPECT_FALSE(rel.Insert(t1));
-  EXPECT_EQ(rel.epoch(), 1u);
-
-  std::vector<TermId> t2 = {1, 3};
-  EXPECT_TRUE(rel.Insert(t2));
-  EXPECT_EQ(rel.epoch(), 2u);
+  // Served: a new tuple publishes a version, its duplicate does not.
+  WriteBatch fresh;
+  fresh.Insert(par_, {C("c2"), C("c3")});
+  WriteResult result = Commit(fresh);
+  EXPECT_EQ(result.inserted, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
+  result = Commit(fresh);
+  EXPECT_EQ(result.inserted, 0u);
+  EXPECT_EQ(result.relations_mutated, 0u);
+  EXPECT_EQ(Published(), 2u);
 }
 
-TEST(RelationEpochTest, StableAcrossReads) {
-  Relation rel(2);
-  std::vector<TermId> t1 = {4, 5};
-  ASSERT_TRUE(rel.Insert(t1));
-  uint64_t before = rel.epoch();
-
+TEST_F(RelationEpochTest, StableAcrossReads) {
+  auto pinned = chain_->Pin();
+  const Relation& rel = *pinned->db().Find(par_);
+  const std::vector<TermId> t1 = {C("c0"), C("c1")};
   EXPECT_TRUE(rel.Contains(t1));
-  EXPECT_EQ(rel.FindRow(t1), 0u);
+  EXPECT_TRUE(rel.FindRow(t1).has_value());
   std::vector<uint32_t> rows;
-  std::vector<TermId> key = {4};
+  const std::vector<TermId> key = {C("c0")};
   rel.Probe(/*mask=*/0b01, key, 0, rel.size(), &rows);  // builds an index
   EXPECT_EQ(rows.size(), 1u);
   rel.Probe(0b01, key, 0, rel.size(), &rows);  // indexed fast path
-  EXPECT_EQ(rel.size(), 1u);
+  EXPECT_EQ(rel.size(), 2u);
 
-  EXPECT_EQ(rel.epoch(), before);
+  // Reads publish nothing, and re-inserting what they read is a no-op.
+  EXPECT_EQ(Published(), 1u);
+  EXPECT_EQ(chain_->Pin(), pinned);
+  WriteBatch again;
+  again.Insert(par_, t1);
+  EXPECT_EQ(Commit(again).relations_mutated, 0u);
+  EXPECT_EQ(Published(), 1u);
 }
 
-TEST(RelationEpochTest, ClearOnEmptyRelationIsANoOp) {
-  // Regression: Clear() used to bump the epoch even when the relation was
-  // already empty, spuriously invalidating every cached answer keyed to
-  // the current epoch. An unchanged tuple set must leave the epoch alone.
+TEST_F(RelationEpochTest, ClearOnEmptyRelationIsANoOp) {
   Relation rel(1);
   rel.Clear();
-  EXPECT_EQ(rel.epoch(), 0u);
   EXPECT_EQ(rel.size(), 0u);
-
   std::vector<TermId> t = {7};
   ASSERT_TRUE(rel.Insert(t));
-  uint64_t before = rel.epoch();
   rel.Clear();
-  EXPECT_EQ(rel.epoch(), before + 1);  // non-empty clear is a real write
-  rel.Clear();
-  EXPECT_EQ(rel.epoch(), before + 1);  // repeat clear: still empty, no bump
+  rel.Clear();  // repeat clear: still empty
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_TRUE(rel.Insert(t));  // the tuple really went
+
+  // Served: clearing an empty relation changes nothing and publishes
+  // nothing, whether it was never created or was emptied earlier.
+  WriteBatch wipe_flag;
+  wipe_flag.Clear(flag_);
+  WriteResult result = Commit(wipe_flag);
+  EXPECT_EQ(result.cleared, 0u);
+  EXPECT_EQ(result.relations_mutated, 0u);
+  EXPECT_EQ(Published(), 1u);
+  WriteBatch wipe;
+  wipe.Clear(par_);
+  EXPECT_EQ(Commit(wipe).cleared, 1u);
+  EXPECT_EQ(Published(), 2u);
+  result = Commit(wipe);
+  EXPECT_EQ(result.cleared, 0u);
+  EXPECT_EQ(result.relations_mutated, 0u);
+  EXPECT_EQ(Published(), 2u);
 }
 
-TEST(RelationEpochTest, ClearResetsRowsAndIndices) {
+TEST_F(RelationEpochTest, ClearResetsRowsAndIndices) {
   Relation rel(1);
   std::vector<TermId> t = {7};
   ASSERT_TRUE(rel.Insert(t));
@@ -76,9 +142,7 @@ TEST(RelationEpochTest, ClearResetsRowsAndIndices) {
   rel.Probe(0b1, t, 0, rel.size(), &rows);
   ASSERT_EQ(rows.size(), 1u);
 
-  uint64_t before = rel.epoch();
   rel.Clear();
-  EXPECT_EQ(rel.epoch(), before + 1);
   EXPECT_EQ(rel.size(), 0u);
   EXPECT_FALSE(rel.Contains(t));
 
@@ -90,166 +154,184 @@ TEST(RelationEpochTest, ClearResetsRowsAndIndices) {
   EXPECT_EQ(rows.size(), 1u);
 }
 
-TEST(RelationEpochTest, RetractBumpsOnPresentTupleOnly) {
+TEST_F(RelationEpochTest, RetractBumpsOnPresentTupleOnly) {
   Relation rel(2);
   std::vector<TermId> t1 = {1, 2};
   std::vector<TermId> t2 = {3, 4};
   ASSERT_TRUE(rel.Insert(t1));
   ASSERT_TRUE(rel.Insert(t2));
-  uint64_t before = rel.epoch();
-
   EXPECT_FALSE(rel.Retract(std::vector<TermId>{9, 9}));  // absent: no-op
-  EXPECT_EQ(rel.epoch(), before);
-
+  EXPECT_EQ(rel.size(), 2u);
   EXPECT_TRUE(rel.Retract(t1));
-  EXPECT_EQ(rel.epoch(), before + 1);
   EXPECT_FALSE(rel.Contains(t1));
   EXPECT_TRUE(rel.Contains(t2));
-
   EXPECT_FALSE(rel.Retract(t1));  // already gone
-  EXPECT_EQ(rel.epoch(), before + 1);
+  EXPECT_EQ(rel.size(), 1u);
+
+  // Served: an absent retract publishes nothing, a present one a version.
+  WriteBatch absent;
+  absent.Retract(par_, {C("c9"), C("c9")});
+  WriteResult result = Commit(absent);
+  EXPECT_EQ(result.retracted, 0u);
+  EXPECT_EQ(result.relations_mutated, 0u);
+  EXPECT_EQ(Published(), 1u);
+  WriteBatch present;
+  present.Retract(par_, {C("c0"), C("c1")});
+  result = Commit(present);
+  EXPECT_EQ(result.retracted, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
+  EXPECT_EQ(Commit(present).relations_mutated, 0u);  // already gone
+  EXPECT_EQ(Published(), 2u);
 }
 
-TEST(RelationEpochTest, EpochBatchBumpsOnceForManyMutations) {
-  Relation rel(1);
-  {
-    Relation::EpochBatch batch(rel);
-    for (TermId v = 1; v <= 5; ++v) {
-      std::vector<TermId> t = {v};
-      ASSERT_TRUE(rel.Insert(t));
-    }
-    std::vector<TermId> t = {3};
-    ASSERT_TRUE(rel.Retract(t));
-    EXPECT_EQ(rel.epoch(), 0u);  // deferred while the batch is open
+TEST_F(DatabaseEpochTest, ManyOpBatchBumpsOnce) {
+  // Five inserts and a retract on one relation: one mutated relation and
+  // one published version for the whole batch.
+  WriteBatch batch;
+  for (const char* node : {"c3", "c4", "c5", "c6", "c7"}) {
+    batch.Insert(par_, {C("c2"), C(node)});
   }
-  EXPECT_EQ(rel.epoch(), 1u);  // one bump for the whole batch
+  batch.Retract(par_, {C("c0"), C("c1")});
+  WriteResult result = Commit(batch);
+  EXPECT_EQ(result.inserted, 5u);
+  EXPECT_EQ(result.retracted, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
+  EXPECT_EQ(chain_->Pin()->db().FactCount(par_), 6u);
 
-  {
-    Relation::EpochBatch noop(rel);
-    std::vector<TermId> dup = {1};
-    EXPECT_FALSE(rel.Insert(dup));
-  }
-  EXPECT_EQ(rel.epoch(), 1u);  // nothing changed: no bump owed
+  WriteBatch noop;
+  noop.Insert(par_, {C("c2"), C("c3")});
+  EXPECT_EQ(Commit(noop).relations_mutated, 0u);  // nothing changed
+  EXPECT_EQ(Published(), 2u);
 
-  // Deferral ends with the batch: a later plain insert bumps directly.
-  std::vector<TermId> t = {9};
-  ASSERT_TRUE(rel.Insert(t));
-  EXPECT_EQ(rel.epoch(), 2u);
+  // Each later batch publishes on its own.
+  WriteBatch more;
+  more.Insert(par_, {C("c7"), C("c8")});
+  EXPECT_EQ(Commit(more).relations_mutated, 1u);
+  EXPECT_EQ(Published(), 3u);
 }
 
-TEST(RelationEpochTest, ZeroAryRelationBumpsOnce) {
+TEST_F(RelationEpochTest, ZeroAryRelationBumpsOnce) {
   Relation rel(0);
   std::vector<TermId> empty;
   EXPECT_TRUE(rel.Insert(empty));
-  EXPECT_EQ(rel.epoch(), 1u);
   EXPECT_FALSE(rel.Insert(empty));  // at most one 0-ary tuple
-  EXPECT_EQ(rel.epoch(), 1u);
+  EXPECT_EQ(rel.size(), 1u);
+
+  // Served: the fact's first insert publishes, a repeat does not, and its
+  // retract publishes again.
+  WriteBatch set;
+  set.Insert(flag_, {});
+  set.Insert(flag_, {});
+  WriteResult result = Commit(set);
+  EXPECT_EQ(result.inserted, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
+  EXPECT_EQ(Commit(set).relations_mutated, 0u);
+  EXPECT_EQ(Published(), 2u);
+  WriteBatch unset;
+  unset.Retract(flag_, {});
+  EXPECT_EQ(Commit(unset).retracted, 1u);
+  EXPECT_EQ(Published(), 3u);
 }
-
-class DatabaseEpochTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto parsed = ParseUnit("anc(X,Y) :- par(X,Y). par(c0, c1). par(c1, c2).");
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    universe_ = parsed->program.universe();
-    facts_ = parsed->facts;
-    par_ = *universe_->predicates().Find(*universe_->symbols().Find("par"), 2);
-  }
-
-  std::shared_ptr<Universe> universe_;
-  std::vector<Fact> facts_;
-  PredId par_ = 0;
-};
 
 TEST_F(DatabaseEpochTest, AddFactBumpsDuplicateDoesNot) {
   Database db(universe_);
-  EXPECT_EQ(db.epoch(), 0u);
-
   ASSERT_TRUE(db.AddFact(facts_[0]).ok());
-  EXPECT_EQ(db.epoch(), 1u);
   ASSERT_TRUE(db.AddFact(facts_[1]).ok());
-  EXPECT_EQ(db.epoch(), 2u);
+  EXPECT_EQ(db.FactCount(par_), 2u);
 
-  // Idempotent duplicate: OK status, no epoch movement (the tuple set is
-  // unchanged, so cached answers keyed to the current epoch stay valid).
+  // Idempotent duplicate: OK status, tuple set unchanged.
   ASSERT_TRUE(db.AddFact(facts_[0]).ok());
-  EXPECT_EQ(db.epoch(), 2u);
+  EXPECT_EQ(db.FactCount(par_), 2u);
 
   // A rejected fact (wrong arity) mutates nothing.
-  Fact bad{par_, {universe_->Constant("c0")}};
+  Fact bad{par_, {C("c0")}};
   EXPECT_FALSE(db.AddFact(bad).ok());
-  EXPECT_EQ(db.epoch(), 2u);
+  EXPECT_EQ(db.FactCount(par_), 2u);
+
+  // Served: the same duplicate publishes nothing, a new fact one version.
+  WriteBatch duplicate;
+  duplicate.Insert(par_, facts_[0].args);
+  EXPECT_EQ(Commit(duplicate).relations_mutated, 0u);
+  EXPECT_EQ(Published(), 1u);
+  WriteBatch fresh;
+  fresh.Insert(par_, {C("c5"), C("c6")});
+  EXPECT_EQ(Commit(fresh).relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
 }
 
 TEST_F(DatabaseEpochTest, StableAcrossReads) {
-  Database db(universe_);
-  for (const Fact& fact : facts_) ASSERT_TRUE(db.AddFact(fact).ok());
-  uint64_t before = db.epoch();
+  auto pinned = chain_->Pin();
+  EXPECT_NE(db_->Find(par_), nullptr);
+  EXPECT_EQ(db_->FactCount(par_), 2u);
+  EXPECT_EQ(db_->TotalFacts(), 2u);
+  (void)db_->relations();
+  EXPECT_EQ(pinned->db().TotalFacts(), 2u);
 
-  EXPECT_NE(db.Find(par_), nullptr);
-  EXPECT_EQ(db.FactCount(par_), 2u);
-  EXPECT_EQ(db.TotalFacts(), 2u);
-  (void)db.relations();
-
-  EXPECT_EQ(db.epoch(), before);
+  EXPECT_EQ(chain_->current_version(), 1u);
+  EXPECT_EQ(Published(), 1u);
+  EXPECT_EQ(chain_->Pin(), pinned);
 }
 
 TEST_F(DatabaseEpochTest, ClearBumpsAndDirectRelationWritesAreObserved) {
+  // Before a chain serves it, a Database changes through Clear and
+  // through GetOrCreate references alike, and the first version a chain
+  // publishes holds exactly what those writes left.
   Database db(universe_);
   for (const Fact& fact : facts_) ASSERT_TRUE(db.AddFact(fact).ok());
-  uint64_t before = db.epoch();
-
   db.Clear(par_);
-  EXPECT_EQ(db.epoch(), before + 1);
   EXPECT_EQ(db.FactCount(par_), 0u);
-
-  // Writes that bypass AddFact still advance the database epoch (it
-  // aggregates per-relation epochs), so invalidation cannot be dodged.
-  std::vector<TermId> tuple = {universe_->Constant("c5"),
-                               universe_->Constant("c6")};
+  std::vector<TermId> tuple = {C("c5"), C("c6")};
   EXPECT_TRUE(db.GetOrCreate(par_).Insert(tuple));
-  EXPECT_EQ(db.epoch(), before + 2);
+  EXPECT_EQ(db.FactCount(par_), 1u);
+  db.Clear(anc_);  // never created: absent == empty, a no-op
+  EXPECT_EQ(db.Find(anc_), nullptr);
 
-  // Clearing a never-created relation is a no-op (absent == empty).
-  uint64_t now = db.epoch();
-  PredId anc =
-      *universe_->predicates().Find(*universe_->symbols().Find("anc"), 2);
-  db.Clear(anc);
-  EXPECT_EQ(db.epoch(), now);
+  VersionChain chain(db);
+  EXPECT_TRUE(chain.Pin()->db().Find(par_)->Contains(tuple));
+  EXPECT_EQ(chain.Pin()->db().FactCount(par_), 1u);
+
+  // Served: a clear publishes once; clearing the emptied relation again
+  // publishes nothing.
+  WriteBatch wipe;
+  wipe.Clear(par_);
+  WriteResult result = chain.Commit(db, wipe);
+  EXPECT_EQ(result.cleared, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+  result = chain.Commit(db, wipe);
+  EXPECT_EQ(result.relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 2u);
 }
 
 TEST_F(DatabaseEpochTest, ClearThenIdenticalReinsertIsNetZero) {
-  // Regression: a batch that clears a relation and reinserts exactly the
-  // tuples it held used to bump the epoch twice (once for the clear, once
-  // for the reinserts), invalidating every cached answer even though the
-  // final content is byte-identical. Net accounting must compare the
-  // final tuple set against the pre-batch one and leave the epoch alone.
-  Database db(universe_);
-  for (const Fact& fact : facts_) ASSERT_TRUE(db.AddFact(fact).ok());
-  const uint64_t before = db.epoch();
-
+  // A batch that clears a relation and reinserts exactly the tuples it
+  // held is net-zero: its final content equals the pre-batch content, so
+  // it publishes nothing and warm answers stay live.
+  auto pinned = chain_->Pin();
   WriteBatch same;
   same.Clear(par_);
   same.Insert(par_, facts_[0].args);
   same.Insert(par_, facts_[1].args);
-  Result<WriteResult> applied = db.Apply(same);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(applied->cleared, 1u);  // the clear did run on a non-empty rel
-  EXPECT_EQ(applied->inserted, 2u);
-  EXPECT_EQ(applied->relations_mutated, 0u);  // ...but the net effect is nil
-  EXPECT_EQ(db.epoch(), before);
-  EXPECT_EQ(db.FactCount(par_), 2u);
+  WriteResult result = Commit(same);
+  EXPECT_EQ(result.cleared, 1u);  // the clear did run on a non-empty rel
+  EXPECT_EQ(result.inserted, 2u);
+  EXPECT_EQ(result.relations_mutated, 0u);  // ...but the net effect is nil
+  EXPECT_EQ(Published(), 1u);
+  EXPECT_EQ(chain_->Pin(), pinned);
+  EXPECT_EQ(db_->FactCount(par_), 2u);
 
   // Same-size but different content after the clear: a real mutation.
   WriteBatch different;
   different.Clear(par_);
   different.Insert(par_, facts_[0].args);
-  different.Insert(par_, {universe_->Constant("c8"), universe_->Constant("c9")});
-  applied = db.Apply(different);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(applied->relations_mutated, 1u);
-  EXPECT_EQ(db.epoch(), before + 1);
-  EXPECT_EQ(db.FactCount(par_), 2u);
+  different.Insert(par_, {C("c8"), C("c9")});
+  result = Commit(different);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(Published(), 2u);
+  EXPECT_EQ(db_->FactCount(par_), 2u);
 }
 
 }  // namespace

@@ -60,10 +60,11 @@ QueryRequest MakeRequest(const Query& query) {
   form.Lock();    // control plane under the commit tier: forbidden
 }
 
-[[maybe_unused]] void LockInflightUnderResync() NO_THREAD_SAFETY_ANALYSIS {
-  Mutex resync(lock_rank::kVersionResync);
+[[maybe_unused]] void LockInflightUnderVersionHead()
+    NO_THREAD_SAFETY_ANALYSIS {
+  Mutex head(lock_rank::kVersionHead);
   Mutex inflight(lock_rank::kInflight);
-  resync.Lock();  // the version chain's publish window
+  head.Lock();  // the version chain's head pointer: a leaf
   inflight.Lock();
 }
 
@@ -106,7 +107,7 @@ TEST(LockRankDeathTest, RecursiveAcquisitionAborts) {
 TEST(LockRankDeathTest, ControlPlaneUnderCommitTierAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(LockFormUnderCommit(), "lock-rank violation");
-  EXPECT_DEATH(LockInflightUnderResync(), "lock-rank violation");
+  EXPECT_DEATH(LockInflightUnderVersionHead(), "lock-rank violation");
 }
 
 TEST(LockRankDeathTest, BelowFloorUnderExclusiveSeamAborts) {
@@ -162,19 +163,19 @@ TEST(LockRankTest, WorkerOrderIsSilent) {
 }
 
 TEST(LockRankTest, CommitTierMayTakeDataPlaneLocks) {
-  // ApplyWrites holds its FIFO ticket lock, Commit holds the version
-  // chain's resync mutex across the mutate+publish window, and the
-  // storage layer's table/index mutexes nest inside both — the whole
-  // writer chain must stay legal.
+  // A writer holding its FIFO ticket lock may take the storage layer's
+  // table/index mutexes while it applies the batch, and the version
+  // chain's head mutex (a leaf) to publish — the whole writer chain must
+  // stay legal.
   Mutex commit(lock_rank::kCommit);
-  Mutex resync(lock_rank::kVersionResync);
   SharedMutex symbols(lock_rank::kSymbolRoot);
   Mutex index(lock_rank::kRelationIndex);
+  Mutex head(lock_rank::kVersionHead);
   {
     MutexLock ticket(commit);
-    MutexLock publish(resync);
     ReaderMutexLock names(symbols);
-    MutexLock rebuild(index);
+    MutexLock build(index);
+    MutexLock publish(head);
   }
   SUCCEED();
 }

@@ -675,10 +675,10 @@ TEST(QueryServiceTest, RepeatedSeedServesFromAnswerCache) {
 }
 
 TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
-  // The issue's invalidation bar: an EDB write between two identical
-  // queries must yield the updated answer — the cache may never serve the
-  // pre-write snapshot. Writes happen at quiescent points (the documented
-  // contract); the post-write reads hammer from 8 threads under TSan.
+  // The invalidation bar: an EDB write between two identical queries
+  // must yield the updated answer — the cache may never serve the
+  // pre-write snapshot. Writes go through ApplyWrites; the post-write
+  // reads hammer from 8 threads under TSan.
   Workload w = MakeAncestorChain(8);  // c0 -> ... -> c7
   Universe& u = *w.universe;
   PredId par = *u.predicates().Find(*u.symbols().Find("par"), 2);
@@ -696,8 +696,10 @@ TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
   QueryAnswer warm = service.Answer(*handle, seed);
   EXPECT_TRUE(warm.from_cache);  // the pre-write entry is live
 
-  // Quiescent write: extend the chain by one edge.
-  ASSERT_TRUE(w.db.AddFact(par, {u.Constant("c7"), u.Constant("c8")}).ok());
+  // Extend the chain by one edge.
+  WriteBatch grow;
+  grow.Insert(par, {u.Constant("c7"), u.Constant("c8")});
+  ASSERT_TRUE(service.ApplyWrites(grow).ok());
 
   QueryAnswer updated = service.Answer(*handle, seed);
   ASSERT_TRUE(updated.status.ok());
@@ -723,7 +725,9 @@ TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
 
   // A truncating write (Clear) invalidates too: the whole derived set is
   // gone with the base facts.
-  w.db.Clear(par);
+  WriteBatch wipe;
+  wipe.Clear(par);
+  ASSERT_TRUE(service.ApplyWrites(wipe).ok());
   QueryAnswer empty = service.Answer(*handle, seed);
   ASSERT_TRUE(empty.status.ok());
   EXPECT_FALSE(empty.from_cache);

@@ -1,11 +1,11 @@
-// The in-band EDB write path: WriteBatch validation, Database::Apply's
-// epoch discipline (one bump per mutated relation, none for no-op
-// batches), QueryService::ApplyWrites publishing MVCC versions on a live
-// service, retraction correctness against from-scratch evaluation, the
+// The EDB write path: WriteBatch validation, ApplyWrites' net-change discipline
+// (each net-mutated relation counted once, one version per changing batch, none
+// for no-op batches), QueryService::ApplyWrites publishing MVCC versions on a
+// live service, retraction correctness against from-scratch evaluation, the
 // 8-thread readers-vs-writer hammer (post-write reads are never stale;
-// in-flight answers are internally consistent — whole batches, never
-// halves; writers never drain readers), and publish latency staying
-// independent of the longest in-flight fixpoint.
+// in-flight answers are internally consistent — whole batches, never halves;
+// writers never drain readers), and publish latency staying independent of the
+// longest in-flight fixpoint.
 
 #include <gtest/gtest.h>
 
@@ -67,13 +67,15 @@ TEST(WriteSeamTest, WriteBatchValidatesArityAndGroundness) {
   WriteBatch half_bad;
   half_bad.Retract(par, {u.Constant("c0"), u.Constant("c1")});
   half_bad.Insert(par, {u.Constant("c0")});
-  uint64_t before = w.db.epoch();
+  const Relation* before = w.db.Find(par);
   EXPECT_FALSE(w.db.Apply(half_bad).ok());
-  EXPECT_EQ(w.db.epoch(), before);
+  EXPECT_EQ(w.db.Find(par), before);  // not even cloned
   EXPECT_EQ(w.db.FactCount(par), 3u);
+  EXPECT_TRUE(before->Contains(
+      std::vector<TermId>{u.Constant("c0"), u.Constant("c1")}));
 }
 
-TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
+TEST(WriteSeamTest, ApplyPublishesOnceAndCountsEachMutatedRelation) {
   Workload w = MakeSameGenNonlinear(3, 2);  // base preds up/flat/down
   Universe& u = *w.universe;
   PredId up = *u.predicates().Find(*u.symbols().Find("up"), 2);
@@ -81,13 +83,12 @@ TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
   TermId a = u.Constant("wa");
   TermId b = u.Constant("wb");
   TermId c = u.Constant("wc");
-
-  const uint64_t up_before = w.db.GetOrCreate(up).epoch();
-  const uint64_t flat_before = w.db.GetOrCreate(flat).epoch();
-  const uint64_t db_before = w.db.epoch();
+  QueryService service(w.program, w.db, QueryServiceOptions{});
+  auto published = [&] { return service.stats().versions_published; };
+  ASSERT_EQ(published(), 1u);
 
   // Three new tuples into `up`, one into `flat`, plus no-ops sprinkled in:
-  // each mutated relation's epoch moves by exactly one.
+  // two mutated relations, one new version for the batch.
   WriteBatch batch;
   batch.Insert(up, {a, b});
   batch.Insert(up, {b, c});
@@ -95,38 +96,37 @@ TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
   batch.Insert(up, {a, c});
   batch.Retract(flat, {a, c});  // absent: no-op
   batch.Insert(flat, {a, c});
-  auto result = w.db.Apply(batch);
+  auto result = service.ApplyWrites(batch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->inserted, 4u);
   EXPECT_EQ(result->retracted, 0u);
   EXPECT_EQ(result->relations_mutated, 2u);
-  EXPECT_EQ(w.db.GetOrCreate(up).epoch(), up_before + 1);
-  EXPECT_EQ(w.db.GetOrCreate(flat).epoch(), flat_before + 1);
-  EXPECT_EQ(w.db.epoch(), db_before + 2);
+  EXPECT_EQ(published(), 2u);
 
-  // A duplicate-only batch mutates nothing and moves no epoch at all.
+  // A duplicate-only batch mutates nothing and publishes nothing.
   WriteBatch noop;
   noop.Insert(up, {a, b});
   noop.Retract(up, {c, a});  // absent
-  auto quiet = w.db.Apply(noop);
+  auto quiet = service.ApplyWrites(noop);
   ASSERT_TRUE(quiet.ok());
   EXPECT_EQ(quiet->relations_mutated, 0u);
-  EXPECT_EQ(w.db.epoch(), db_before + 2);
+  EXPECT_EQ(published(), 2u);
 
   // A clear of a non-empty relation is one mutation; repeating it on the
   // now-empty relation is a no-op (the satellite regression, batch form).
   WriteBatch wipe;
   wipe.Clear(flat);
-  auto wiped = w.db.Apply(wipe);
+  auto wiped = service.ApplyWrites(wipe);
   ASSERT_TRUE(wiped.ok());
   EXPECT_EQ(wiped->cleared, 1u);
   EXPECT_EQ(wiped->relations_mutated, 1u);
-  EXPECT_EQ(w.db.epoch(), db_before + 3);
-  auto rewiped = w.db.Apply(wipe);
+  EXPECT_EQ(published(), 3u);
+  auto rewiped = service.ApplyWrites(wipe);
   ASSERT_TRUE(rewiped.ok());
   EXPECT_EQ(rewiped->cleared, 0u);
   EXPECT_EQ(rewiped->relations_mutated, 0u);
-  EXPECT_EQ(w.db.epoch(), db_before + 3);
+  EXPECT_EQ(published(), 3u);
+  EXPECT_EQ(service.stats().writes_applied, 4u);
 }
 
 TEST(WriteSeamTest, ApplyWritesMutatesALiveService) {
@@ -180,8 +180,8 @@ TEST(WriteSeamTest, ApplyWritesMutatesALiveService) {
 
 TEST(WriteSeamTest, DuplicateOnlyBatchKeepsTheCacheWarm) {
   // Satellite regression at the service level: a batch that does not
-  // change any tuple set must not invalidate warm answers — no epoch
-  // movement, no spurious re-evaluation.
+  // change any tuple set must not invalidate warm answers — no new
+  // version, no spurious re-evaluation.
   Workload w = MakeAncestorChain(8);
   Universe& u = *w.universe;
   PredId par = ParPred(w);

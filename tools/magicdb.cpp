@@ -510,7 +510,7 @@ int RunApply(const Args& args, const ParsedUnit& parsed, Database& db) {
 
 /// Interactive serving loop: queries and EDB mutations interleave on one
 /// live service. Mutation lines ("+fact." / "-fact.") go through
-/// ApplyWrites — the sanctioned in-band write path — so every later query
+/// ApplyWrites — the service's one write path — so every later query
 /// sees the mutated database, warm cache or not.
 int RunRepl(const Args& args, const ParsedUnit& parsed, Database& db) {
   QueryServiceOptions service_options;
