@@ -12,8 +12,8 @@
 //   {"bench":"throughput","workload":"ancestor_chain_256","mode":"batch",...}
 //
 // Modes exercise the serving API tiers:
-//   batch   AnswerBatch over QueryRequests (request tier, form cache hit
-//           per query)
+//   batch   Submit every QueryRequest, then collect the answers in order
+//           (request tier, form cache hit per query)
 //   handle  Prepare once + Submit(FormHandle, seed) (steady-state hot
 //           path: no form-cache mutex)
 //   limit1  Submit(handle) with row_limit=1 (early-terminated existence
@@ -87,6 +87,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
@@ -154,13 +155,30 @@ BenchCase MakeSameGenCase(size_t queries) {
 }
 
 /// Wraps plain queries as request-tier QueryRequests (default strategy,
-/// no limits) for AnswerBatch.
+/// no limits) for AnswerAll.
 std::vector<QueryRequest> AsRequests(const std::vector<Query>& queries) {
   std::vector<QueryRequest> requests(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     requests[i].query = queries[i];
   }
   return requests;
+}
+
+/// Submits every request so they evaluate concurrently across the pool,
+/// then collects the answers in input order.
+std::vector<QueryAnswer> AnswerAll(QueryService& service,
+                                   const std::vector<QueryRequest>& requests) {
+  std::vector<std::future<QueryAnswer>> futures;
+  futures.reserve(requests.size());
+  for (const QueryRequest& request : requests) {
+    futures.push_back(service.Submit(request));
+  }
+  std::vector<QueryAnswer> answers;
+  answers.reserve(futures.size());
+  for (std::future<QueryAnswer>& future : futures) {
+    answers.push_back(future.get());
+  }
+  return answers;
 }
 
 /// The per-instance seed values of each batch query (the constants at the
@@ -274,7 +292,7 @@ void RunCase(BenchCase& c, size_t max_threads, const std::string& mode,
     QueryServiceOptions options;
     options.num_threads = 1;
     QueryService warmup(c.workload.program, c.workload.db, options);
-    (void)warmup.AnswerBatch(AsRequests(c.batch));
+    (void)AnswerAll(warmup, AsRequests(c.batch));
   }
   std::vector<std::vector<TermId>> seeds = SeedValues(c);
 
@@ -305,7 +323,7 @@ void RunCase(BenchCase& c, size_t max_threads, const std::string& mode,
       QueryService service(c.workload.program, c.workload.db, options);
       std::vector<QueryRequest> requests = AsRequests(c.batch);
       Stopwatch watch;
-      std::vector<QueryAnswer> answers = service.AnswerBatch(requests);
+      std::vector<QueryAnswer> answers = AnswerAll(service, requests);
       double seconds = watch.ElapsedSeconds();
       size_t total_answers = 0;
       size_t failures = 0;

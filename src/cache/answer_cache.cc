@@ -1,7 +1,6 @@
 #include "cache/answer_cache.h"
 
 #include <bit>
-#include <thread>
 #include <utility>
 
 #include "util/hash.h"
@@ -14,42 +13,45 @@ size_t AnswerCache::HashOf(uintptr_t tag, uint64_t version,
   return static_cast<size_t>(HashRange(seed.begin(), seed.end(), h));
 }
 
-AnswerCache::AnswerCache(AnswerCacheOptions options)
+AnswerCache::AnswerCache(obs::MetricsRegistry& metrics,
+                         AnswerCacheOptions options)
     : options_(options) {
   size_t shards = std::bit_ceil(options_.shards == 0 ? 1 : options_.shards);
   shard_mask_ = shards - 1;
   shard_budget_ = options_.max_bytes / shards;
   shards_ = std::make_unique<Shard[]>(shards);
+  hits_ = metrics.GetCounter("magicdb_answer_cache_hits", {},
+                             "AnswerCache lookups that found their key");
+  misses_ = metrics.GetCounter("magicdb_answer_cache_misses", {},
+                               "AnswerCache lookups that found nothing");
+  inserts_ = metrics.GetCounter("magicdb_answer_cache_inserts", {},
+                                "Answers added to the AnswerCache");
+  evictions_ = metrics.GetCounter(
+      "magicdb_answer_cache_evictions", {},
+      "AnswerCache entries evicted to stay within the byte budget");
+  rejected_oversize_ = metrics.GetCounter(
+      "magicdb_answer_cache_rejected_oversize", {},
+      "Answers not cached because they exceed a shard's byte share");
+  entries_ = metrics.GetGauge("magicdb_answer_cache_entries", {},
+                              "AnswerCache resident entries (live)");
+  bytes_ = metrics.GetGauge("magicdb_answer_cache_bytes", {},
+                            "AnswerCache resident bytes (live)");
 }
-
-AnswerCache::~AnswerCache() = default;
 
 std::shared_ptr<const AnswerCache::Tuples> AnswerCache::Get(
     uintptr_t tag, std::span<const TermId> seed, uint64_t version) const {
   if (!enabled()) return nullptr;
-  const size_t hash = HashOf(tag, version, seed);
-  Shard& shard = ShardFor(hash);
+  Shard& shard = ShardFor(HashOf(tag, version, seed));
   std::shared_ptr<const Tuples> result;
-
-  // Reader registration (quiescent-state reclamation): the seq_cst
-  // fetch_add/table-load pair mirrors Put's seq_cst table-store/counter-
-  // load. Either the writer's counter read sees this reader (and defers
-  // reclaiming the table it retired), or this reader's table load is
-  // ordered after the writer's store and sees the new table — never a
-  // reclaimed one.
-  shard.active_readers.fetch_add(1, std::memory_order_seq_cst);
-  if (const Table* table = shard.table.load(std::memory_order_seq_cst)) {
-    auto it = table->find(KeyView{tag, version, seed});
-    if (it != table->end()) {
-      it->second->last_used.store(
-          tick_.fetch_add(1, std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      result = it->second->tuples;  // pins the payload past eviction
+  {
+    MutexLock lock(shard.mutex);
+    auto it = shard.table.find(KeyView{tag, version, seed});
+    if (it != shard.table.end()) {
+      it->second.last_used = ++shard.tick;
+      result = it->second.tuples;  // pins the payload past eviction
     }
   }
-  shard.active_readers.fetch_sub(1, std::memory_order_seq_cst);
-
-  (result ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  (result ? hits_ : misses_)->Add();
   return result;
 }
 
@@ -59,7 +61,6 @@ size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
   // more than precision — the budget is advisory sizing, not an OS limit.
   constexpr size_t kNodeOverhead = 64;  // unordered_map node + bucket share
   size_t bytes = kNodeOverhead + sizeof(Key) + sizeof(Entry) +
-                 sizeof(std::shared_ptr<Entry>) +
                  key.seed.capacity() * sizeof(TermId) + sizeof(Tuples) +
                  tuples.capacity() * sizeof(std::vector<TermId>);
   for (const std::vector<TermId>& tuple : tuples) {
@@ -68,109 +69,52 @@ size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
   return bytes;
 }
 
-void AnswerCache::PublishTable(Shard& shard,
-                               std::unique_ptr<const Table> next) {
-  shard.table.store(next.get(), std::memory_order_seq_cst);
-  if (shard.current_owner != nullptr) {
-    shard.retired.push_back(std::move(shard.current_owner));
-  }
-  shard.current_owner = std::move(next);
-  // Quiescent point: every reader this load misses registered after the
-  // store above, so it can only hold the just-published table; everything
-  // retired earlier is unreachable and safe to free. A single opportunistic
-  // check usually suffices (reader sections are a handful of instructions),
-  // but under sustained reader traffic it can keep losing the race — so
-  // once the retired list has grown past a small bound, yield-wait for a
-  // genuinely quiescent instant instead of letting one retired table per
-  // Put pile up. Readers never take this mutex, so they drain freely.
-  constexpr size_t kRetiredSoftLimit = 8;
-  if (shard.active_readers.load(std::memory_order_seq_cst) == 0) {
-    shard.retired.clear();
-  } else if (shard.retired.size() > kRetiredSoftLimit) {
-    while (shard.active_readers.load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
-    }
-    shard.retired.clear();
-  }
-}
-
 void AnswerCache::Put(uintptr_t tag, std::vector<TermId> seed, uint64_t version,
                       std::shared_ptr<const Tuples> tuples) {
   if (!enabled() || tuples == nullptr) return;
   Key key{tag, version, std::move(seed)};
-  const size_t hash = HashOf(key.tag, key.version, key.seed);
   const size_t bytes = EntryBytes(key, *tuples);
   if (bytes > shard_budget_) {
-    rejected_oversize_.fetch_add(1, std::memory_order_relaxed);
+    rejected_oversize_->Add();
     return;
   }
-  Shard& shard = ShardFor(hash);
+  Shard& shard = ShardFor(HashOf(key.tag, key.version, key.seed));
   MutexLock lock(shard.mutex);
-
-  // Copy-on-write: the published table is immutable, so build the next
-  // snapshot from it. O(entries per shard) per insert — the cache is for
-  // hit-dominated workloads, where Put is the rare path.
-  auto next = std::make_unique<Table>(
-      shard.current_owner != nullptr ? *shard.current_owner : Table{});
-  auto entry = std::make_shared<Entry>();
-  entry->tuples = std::move(tuples);
-  entry->bytes = bytes;
-  entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  auto [it, inserted] = next->try_emplace(std::move(key), std::move(entry));
+  const bool inserted = shard.table.try_emplace(
+      std::move(key), Entry{std::move(tuples), bytes, ++shard.tick}).second;
   if (!inserted) return;  // first writer wins; concurrent miss-fill race
   shard.bytes += bytes;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  inserts_->Add();
+  entries_->Add(1);
+  bytes_->Add(static_cast<int64_t>(bytes));
 
   // Byte-budgeted LRU: evict stalest entries until back under the shard's
   // share. Ticks are unique, so while more than one entry remains the
   // just-inserted entry (highest tick) is never the minimum.
-  while (shard.bytes > shard_budget_ && next->size() > 1) {
-    auto victim = next->end();
-    uint64_t oldest = 0;
-    for (auto cur = next->begin(); cur != next->end(); ++cur) {
-      uint64_t used = cur->second->last_used.load(std::memory_order_relaxed);
-      if (victim == next->end() || used < oldest) {
-        victim = cur;
-        oldest = used;
-      }
-    }
-    shard.bytes -= victim->second->bytes;
-    next->erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  shard.bytes_published.store(shard.bytes, std::memory_order_relaxed);
-  shard.entries_published.store(next->size(), std::memory_order_relaxed);
-  PublishTable(shard, std::move(next));
-}
-
-void AnswerCache::Clear() {
-  if (!enabled()) return;
-  for (size_t i = 0; i <= shard_mask_; ++i) {
-    Shard& shard = shards_[i];
-    MutexLock lock(shard.mutex);
-    shard.bytes = 0;
-    shard.bytes_published.store(0, std::memory_order_relaxed);
-    shard.entries_published.store(0, std::memory_order_relaxed);
-    PublishTable(shard, nullptr);
+  while (shard.bytes > shard_budget_ && shard.table.size() > 1) {
+    auto victim = std::min_element(
+        shard.table.begin(), shard.table.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.last_used < b.second.last_used;
+        });
+    shard.bytes -= victim->second.bytes;
+    entries_->Add(-1);
+    bytes_->Add(-static_cast<int64_t>(victim->second.bytes));
+    evictions_->Add();
+    shard.table.erase(victim);
   }
 }
 
 AnswerCache::Stats AnswerCache::stats() const {
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.rejected_oversize =
-      rejected_oversize_.load(std::memory_order_relaxed);
+  stats.hits = hits_->value();
+  stats.misses = misses_->value();
+  stats.inserts = inserts_->value();
+  stats.evictions = evictions_->value();
+  stats.rejected_oversize = rejected_oversize_->value();
+  stats.entries = static_cast<size_t>(entries_->value());
+  stats.bytes = static_cast<size_t>(bytes_->value());
   stats.max_bytes = options_.max_bytes;
-  for (size_t i = 0; i <= shard_mask_; ++i) {
-    stats.bytes += shards_[i].bytes_published.load(std::memory_order_relaxed);
-    stats.entries +=
-        shards_[i].entries_published.load(std::memory_order_relaxed);
-  }
   return stats;
 }
 

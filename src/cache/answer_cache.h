@@ -2,7 +2,6 @@
 #define MAGIC_CACHE_ANSWER_CACHE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "ast/term.h"
+#include "obs/metrics.h"
 #include "util/annotated_mutex.h"
 
 namespace magic {
@@ -22,8 +22,8 @@ struct AnswerCacheOptions {
   /// a no-op).
   size_t max_bytes = size_t{64} << 20;
   /// Shard count, rounded up to a power of two. More shards mean less
-  /// writer contention and smaller copy-on-write tables, at the cost of a
-  /// coarser (per-shard) LRU horizon.
+  /// lock contention and shorter eviction scans, at the cost of a coarser
+  /// (per-shard) LRU horizon.
   size_t shards = 16;
 };
 
@@ -36,37 +36,36 @@ struct AnswerCacheOptions {
 /// The caller supplies an opaque `tag` naming the compiled query form (the
 /// serving layer uses the PreparedQueryForm address) and the MVCC
 /// `version` of the database snapshot the answer was computed against
-/// (the serving layer uses VersionChain version numbers). Versions make
-/// invalidation free: any net EDB write publishes a new version, so every
-/// entry filled against an older snapshot becomes unreachable — no flush,
-/// no sweep, no lock on the write path. Stale entries stop being touched
-/// and age out of the byte-budgeted LRU.
+/// (the serving layer uses VersionChain version numbers). An answer is a
+/// function of exactly those three things, so an entry never needs
+/// invalidating: any net EDB write publishes a new version, every entry
+/// filled against an older snapshot becomes unreachable, and stale
+/// entries stop being touched and age out of the byte-budgeted LRU.
 ///
 /// Concurrency contract:
-///   * Get is lock-free: a reader registers itself in a per-shard active
-///     counter (two atomic RMWs), loads the shard's atomically published
-///     immutable table snapshot, and copies out one shared_ptr — it never
-///     blocks on a writer and never takes a mutex. LRU recency is an
-///     atomic timestamp on the entry, stamped on hit.
-///   * Put serializes on the shard mutex. It copies the shard's table
-///     (copy-on-write), inserts, evicts least-recently-used entries while
-///     over the shard's byte share, and publishes the new snapshot with a
-///     seq_cst store. Retired snapshots are reclaimed once the reader
-///     counter has been observed at zero after the retirement — a reader
-///     registered later can only see the newer table (quiescent-state
-///     reclamation). The check is opportunistic per Put; if sustained
-///     reader traffic keeps losing it the race, the writer yield-waits
-///     for a quiescent instant once a small retired-list bound is
-///     exceeded, so memory stays bounded by the live table, a few
-///     retired snapshots, and whatever in-flight readers pin.
+///   * Each shard is one mutex (rank kCacheShard, a data-plane leaf)
+///     guarding a plain hash map. Get locks its shard, finds the key,
+///     stamps the entry's recency, copies out the payload shared_ptr and
+///     unlocks; Put inserts and evicts least-recently-used entries in
+///     place under the same mutex. A Get may therefore wait behind one
+///     eviction scan of its shard (O(entries per shard)).
+///   * Callers hold no lock ranked kCacheShard or higher (the Debug rank
+///     checker aborts otherwise), and nothing ranked is acquired under a
+///     shard mutex.
 ///   * Answer payloads are immutable and shared_ptr-owned; a tuple set
 ///     returned by Get stays valid after the entry is evicted.
+///   * Every counter lives in the MetricsRegistry passed at construction
+///     (one cache per registry; the registry must outlive the cache):
+///     `magicdb_answer_cache_{hits,misses,inserts,evictions,
+///     rejected_oversize}` and the live `magicdb_answer_cache_{entries,
+///     bytes}` gauges, which Put updates under the shard mutex. stats()
+///     reads those cells.
 class AnswerCache {
  public:
   using Tuples = std::vector<std::vector<TermId>>;
 
-  explicit AnswerCache(AnswerCacheOptions options = {});
-  ~AnswerCache();
+  explicit AnswerCache(obs::MetricsRegistry& metrics,
+                       AnswerCacheOptions options = {});
 
   AnswerCache(const AnswerCache&) = delete;
   AnswerCache& operator=(const AnswerCache&) = delete;
@@ -74,7 +73,7 @@ class AnswerCache {
   bool enabled() const { return options_.max_bytes != 0; }
 
   /// Returns the cached answer for (tag, seed, version), or null on a miss.
-  /// Lock-free; stamps the entry's recency on a hit.
+  /// Stamps the entry's recency on a hit.
   std::shared_ptr<const Tuples> Get(uintptr_t tag,
                                     std::span<const TermId> seed,
                                     uint64_t version) const;
@@ -85,12 +84,9 @@ class AnswerCache {
   void Put(uintptr_t tag, std::vector<TermId> seed, uint64_t version,
            std::shared_ptr<const Tuples> tuples);
 
-  /// Drops every entry (counters are kept).
-  void Clear();
-
-  /// Point-in-time counters. `hits`/`misses` count Get outcomes;
-  /// `inserts`/`evictions`/`rejected_oversize` count Put outcomes; `bytes`
-  /// and `entries` describe current occupancy.
+  /// Point-in-time counters, read from the registry cells. `hits`/`misses`
+  /// count Get outcomes; `inserts`/`evictions`/`rejected_oversize` count
+  /// Put outcomes; `bytes` and `entries` describe current occupancy.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -109,7 +105,7 @@ class AnswerCache {
     uint64_t version = 0;
     std::vector<TermId> seed;
   };
-  /// Borrowed view of a Key, so the lock-free Get never allocates.
+  /// Borrowed view of a Key, so Get never allocates.
   struct KeyView {
     uintptr_t tag = 0;
     uint64_t version = 0;
@@ -148,35 +144,18 @@ class AnswerCache {
   struct Entry {
     std::shared_ptr<const Tuples> tuples;
     size_t bytes = 0;
-    /// LRU recency: the cache-global tick at the last hit/insert. Written
-    /// lock-free from the hit path, read by the evictor under the shard
-    /// mutex — monotonicity is approximate and that is fine for LRU.
-    mutable std::atomic<uint64_t> last_used{0};
+    /// LRU recency: the shard's tick at the last hit or insert.
+    uint64_t last_used = 0;
   };
 
-  /// Immutable once published; replaced wholesale by each Put.
-  using Table =
-      std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash, KeyEqual>;
-
-  struct Shard {
-    /// Seq_cst publication point of the current table (null = empty). The
-    /// seq_cst pairing with `active_readers` is what lets the writer prove
-    /// a quiescent point: it stores the new table, then reads the counter;
-    /// any reader it misses registered after the store and therefore loads
-    /// the new table, never a retired one.
-    std::atomic<const Table*> table{nullptr};
-    std::atomic<int64_t> active_readers{0};
-
-    /// Writer-side state. Shard mutexes are leaves of the data plane:
-    /// nothing ranked is ever taken under one.
+  /// Cache-line aligned so neighbouring shard mutexes do not share a line.
+  struct alignas(64) Shard {
     Mutex mutex{lock_rank::kCacheShard};
-    std::unique_ptr<const Table> current_owner GUARDED_BY(mutex);
-    std::vector<std::unique_ptr<const Table>> retired GUARDED_BY(mutex);
+    std::unordered_map<Key, Entry, KeyHash, KeyEqual> table
+        GUARDED_BY(mutex);
     size_t bytes GUARDED_BY(mutex) = 0;
-
-    /// Occupancy mirrors for stats(), updated under mutex, read anywhere.
-    std::atomic<size_t> bytes_published{0};
-    std::atomic<size_t> entries_published{0};
+    /// Strictly increasing per hit/insert, so ticks are unique per shard.
+    uint64_t tick GUARDED_BY(mutex) = 0;
   };
 
   /// Shard selection uses the upper half of the hash so it stays
@@ -188,24 +167,22 @@ class AnswerCache {
     constexpr int kHalf = std::numeric_limits<size_t>::digits / 2;
     return shards_[(hash >> kHalf) & shard_mask_];
   }
-  /// Publishes `next` as `shard`'s table and reclaims retired tables if
-  /// the shard is quiescent. Caller holds the shard mutex.
-  static void PublishTable(Shard& shard, std::unique_ptr<const Table> next)
-      REQUIRES(shard.mutex);
 
   static size_t EntryBytes(const Key& key, const Tuples& tuples);
 
   AnswerCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_budget_ = 0;  // max_bytes / shard count
-  mutable std::unique_ptr<Shard[]> shards_;
-  mutable std::atomic<uint64_t> tick_{0};
+  std::unique_ptr<Shard[]> shards_;
 
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> rejected_oversize_{0};
+  // Registry-owned cells; pointers are stable for the registry's life.
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* inserts_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* rejected_oversize_ = nullptr;
+  obs::Gauge* entries_ = nullptr;
+  obs::Gauge* bytes_ = nullptr;
 };
 
 }  // namespace magic

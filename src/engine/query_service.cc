@@ -165,7 +165,7 @@ QueryService::QueryService(const Program& program, const Database& db,
       options_(std::move(options)),
       versions_(db),
       slow_log_(options_.obs.slow_query_capacity),
-      cache_(AnswerCacheOptions{.max_bytes = options_.cache_bytes}),
+      cache_(metrics_, AnswerCacheOptions{.max_bytes = options_.cache_bytes}),
       pool_(options_.num_threads != 0 ? options_.num_threads
                                       : std::thread::hardware_concurrency()) {
   // Service-wide instruments, registered once; the hot path only touches
@@ -180,7 +180,7 @@ QueryService::QueryService(const Program& program, const Database& db,
       "Requests completed (evaluated, cache-served, or shed)");
   overloaded_ = metrics_.GetCounter(
       "magicdb_overloaded", {},
-      "TrySubmit rejections by admission control");
+      "Requests rejected by admission control (max_pending)");
   answers_from_cache_ = metrics_.GetCounter(
       "magicdb_answers_from_cache", {},
       "Requests served from the AnswerCache without evaluation");
@@ -216,12 +216,6 @@ QueryService::QueryService(const Program& program, const Database& db,
   pending_gauge_ = metrics_.GetGauge(
       "magicdb_pending_requests", {},
       "Requests submitted but not yet completed (refreshed at scrape)");
-  cache_entries_gauge_ = metrics_.GetGauge(
-      "magicdb_answer_cache_entries", {},
-      "AnswerCache resident entries (refreshed at scrape)");
-  cache_bytes_gauge_ = metrics_.GetGauge(
-      "magicdb_answer_cache_bytes", {},
-      "AnswerCache resident bytes (refreshed at scrape)");
   versions_live_gauge_ = metrics_.GetGauge(
       "magicdb_db_versions_live", {},
       "Database versions alive: the head plus reader-pinned older ones "
@@ -343,9 +337,9 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   return &cached;
 }
 
-bool QueryService::Admit(bool enforce_admission) {
+bool QueryService::Admit(bool readmission) {
   size_t prev = pending_.fetch_add(1, std::memory_order_relaxed);
-  if (enforce_admission && options_.max_pending != 0 &&
+  if (!readmission && options_.max_pending != 0 &&
       prev >= options_.max_pending) {
     pending_.fetch_sub(1, std::memory_order_relaxed);
     overloaded_->Add();
@@ -512,7 +506,7 @@ void QueryService::ReleaseInflight(CachedForm* cached,
 
 void QueryService::DispatchForm(
     CachedForm* cached, std::vector<TermId> bound_values, QueryLimits limits,
-    AnswerSink sink, bool enforce_admission, Completion done,
+    AnswerSink sink, Completion done,
     std::optional<std::chrono::steady_clock::time_point> admitted_at,
     obs::Span compile_span) {
   // The deadline anchor survives coalescing round-trips: a parked
@@ -555,7 +549,9 @@ void QueryService::DispatchForm(
   }
   const uint64_t probe_end = obs_on ? obs::Trace::NowNs() : 0;
 
-  if (!Admit(enforce_admission)) {
+  // A parked duplicate re-enters with its original anchor: it was admitted
+  // once already and must not be rejected late.
+  if (!Admit(/*readmission=*/admitted_at.has_value())) {
     done(OverloadedAnswer());
     return;
   }
@@ -581,12 +577,11 @@ void QueryService::DispatchForm(
            limits = std::move(limits), sink = std::move(sink),
            done = std::move(done), admitted, compile_span]() mutable {
             // Return the parked slot, then go around again with the
-            // original anchor. enforce_admission=false: this request was
-            // already admitted once and must not be rejected late.
+            // original anchor (which marks the re-dispatch a readmission).
             pending_.fetch_sub(1, std::memory_order_relaxed);
             DispatchForm(cached, std::move(bound_values), std::move(limits),
-                         std::move(sink), /*enforce_admission=*/false,
-                         std::move(done), admitted, compile_span);
+                         std::move(sink), std::move(done), admitted,
+                         compile_span);
           });
       return;
     }
@@ -746,11 +741,11 @@ void QueryService::DispatchForm(
 }
 
 void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
-                            bool enforce_admission, Completion done) {
+                            Completion done) {
   // Base-predicate queries are direct selections over the EDB; any strategy
   // serves them without compilation.
   if (!program_.IsHeadPredicate(request.query.goal.pred)) {
-    if (!Admit(enforce_admission)) {
+    if (!Admit(/*readmission=*/false)) {
       done(OverloadedAnswer());
       return;
     }
@@ -809,8 +804,7 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
     }
   }
   DispatchForm(cached, std::move(bound_values), request.limits,
-               std::move(sink), enforce_admission, std::move(done),
-               std::nullopt, compile_span);
+               std::move(sink), std::move(done), std::nullopt, compile_span);
 }
 
 Result<QueryService::FormHandle> QueryService::Prepare(
@@ -827,20 +821,18 @@ Result<QueryService::FormHandle> QueryService::Prepare(
   return handle;
 }
 
-std::future<QueryAnswer> QueryService::SubmitImpl(const QueryRequest& request,
-                                                  bool enforce_admission) {
+std::future<QueryAnswer> QueryService::Submit(const QueryRequest& request) {
   auto promise = std::make_shared<std::promise<QueryAnswer>>();
   std::future<QueryAnswer> future = promise->get_future();
-  Dispatch(request, {}, enforce_admission,
-           [promise](QueryAnswer answer) {
-             promise->set_value(std::move(answer));
-           });
+  Dispatch(request, {}, [promise](QueryAnswer answer) {
+    promise->set_value(std::move(answer));
+  });
   return future;
 }
 
-std::future<QueryAnswer> QueryService::SubmitImpl(
+std::future<QueryAnswer> QueryService::Submit(
     const FormHandle& handle, std::vector<TermId> bound_values,
-    QueryLimits limits, bool enforce_admission) {
+    QueryLimits limits) {
   auto promise = std::make_shared<std::promise<QueryAnswer>>();
   std::future<QueryAnswer> future = promise->get_future();
   if (!handle.valid()) {
@@ -851,32 +843,10 @@ std::future<QueryAnswer> QueryService::SubmitImpl(
     return future;
   }
   DispatchForm(handle.cached_, std::move(bound_values), std::move(limits),
-               {}, enforce_admission, [promise](QueryAnswer answer) {
+               {}, [promise](QueryAnswer answer) {
                  promise->set_value(std::move(answer));
                });
   return future;
-}
-
-std::future<QueryAnswer> QueryService::Submit(const QueryRequest& request) {
-  return SubmitImpl(request, /*enforce_admission=*/false);
-}
-
-std::future<QueryAnswer> QueryService::Submit(
-    const FormHandle& handle, std::vector<TermId> bound_values,
-    QueryLimits limits) {
-  return SubmitImpl(handle, std::move(bound_values), std::move(limits),
-                    /*enforce_admission=*/false);
-}
-
-std::future<QueryAnswer> QueryService::TrySubmit(const QueryRequest& request) {
-  return SubmitImpl(request, /*enforce_admission=*/true);
-}
-
-std::future<QueryAnswer> QueryService::TrySubmit(
-    const FormHandle& handle, std::vector<TermId> bound_values,
-    QueryLimits limits) {
-  return SubmitImpl(handle, std::move(bound_values), std::move(limits),
-                    /*enforce_admission=*/true);
 }
 
 QueryAnswer QueryService::Answer(const QueryRequest& request) {
@@ -924,8 +894,7 @@ AnswerCursor QueryService::Stream(const QueryRequest& request) {
   AnswerSink sink;
   Completion done;
   auto state = MakeStreamState(&streamed.limits, &sink, &done);
-  Dispatch(streamed, std::move(sink), /*enforce_admission=*/false,
-           std::move(done));
+  Dispatch(streamed, std::move(sink), std::move(done));
   return AnswerCursor(std::move(state));
 }
 
@@ -943,23 +912,8 @@ AnswerCursor QueryService::Stream(const FormHandle& handle,
     return AnswerCursor(std::move(state));
   }
   DispatchForm(handle.cached_, std::move(bound_values), std::move(limits),
-               std::move(sink), /*enforce_admission=*/false, std::move(done));
+               std::move(sink), std::move(done));
   return AnswerCursor(std::move(state));
-}
-
-std::vector<QueryAnswer> QueryService::AnswerBatch(
-    const std::vector<QueryRequest>& batch) {
-  std::vector<std::future<QueryAnswer>> futures;
-  futures.reserve(batch.size());
-  for (const QueryRequest& request : batch) {
-    futures.push_back(Submit(request));
-  }
-  std::vector<QueryAnswer> answers;
-  answers.reserve(batch.size());
-  for (std::future<QueryAnswer>& future : futures) {
-    answers.push_back(future.get());
-  }
-  return answers;
 }
 
 Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
@@ -1208,12 +1162,10 @@ QueryService::Stats QueryService::stats() const {
 std::string QueryService::MetricsText() const {
   // Refresh the scrape-time mirrors, then render everything the registry
   // holds — service counters, latency histograms, per-form and per-rule
-  // counters — through the one exposition path.
+  // counters, the answer cache's live cells — through the one exposition
+  // path.
   pending_gauge_->Set(
       static_cast<int64_t>(pending_.load(std::memory_order_relaxed)));
-  const AnswerCache::Stats cache_stats = cache_.stats();
-  cache_entries_gauge_->Set(static_cast<int64_t>(cache_stats.entries));
-  cache_bytes_gauge_->Set(static_cast<int64_t>(cache_stats.bytes));
   const uint64_t live = versions_.versions_live();
   versions_live_gauge_->Set(static_cast<int64_t>(live));
   // Pinned = live minus the chain head itself (which is always alive).

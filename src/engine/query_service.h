@@ -38,8 +38,9 @@ struct QueryServiceOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   size_t num_threads = 0;
   /// Admission control: maximum requests submitted-but-not-finished before
-  /// TrySubmit answers kOverloaded. 0 = unbounded (TrySubmit never
-  /// rejects). Plain Submit always queues regardless.
+  /// Submit, Answer and Stream (both tiers) answer kOverloaded instead of
+  /// queueing. 0 = unbounded. Inline warm cache hits take no slot, so they
+  /// are never rejected.
   size_t max_pending = 0;
   /// Byte budget of the cross-query AnswerCache (memoized completed
   /// answers keyed by form, seed, and database version). 0 disables
@@ -135,13 +136,14 @@ class AnswerCursor {
 /// instance.
 ///
 /// Two tiers of API:
-///   * Request tier: Submit/TrySubmit/Answer/AnswerBatch/Stream take a
-///     QueryRequest, resolve its form through the cache (one mutex
-///     round-trip), compiling on the calling thread if needed.
-///   * Handle tier: Prepare returns a FormHandle; the Submit/TrySubmit/
-///     Answer/Stream overloads taking a handle skip form hashing and the
-///     cache mutex entirely — the steady-state hot path is one version
-///     pin (a pointer copy under a leaf mutex) plus pool dispatch.
+///   * Request tier: Submit/Answer/Stream take a QueryRequest, resolve its
+///     form through the cache (one mutex round-trip), compiling on the
+///     calling thread if needed.
+///   * Handle tier: Prepare returns a FormHandle; the Submit/Answer/Stream
+///     overloads taking a handle skip form hashing and the cache mutex
+///     entirely — the steady-state hot path is one version pin (a pointer
+///     copy under a leaf mutex) plus pool dispatch.
+/// Both tiers go through one admission check (options.max_pending).
 ///
 /// Both tiers sit behind the cross-query AnswerCache: a completed clean
 /// answer (outcome kOk) is memoized under (form, seed, database version),
@@ -195,10 +197,11 @@ class AnswerCursor {
 ///     commit tier ranks above form/inflight in the Debug rank checker
 ///     (util/annotated_mutex.h), so the reverse nesting aborts.
 ///   * Workers key every AnswerCache fill to the version they pinned —
-///     by construction the data they actually read. The lock-free inline
-///     hit path probes at the chain's current version number; serving a
-///     hit concurrent with a publish is linearizable (the read overlapped
-///     the write), and post-write reads are fresh because publish
+///     by construction the data they actually read. The inline hit path
+///     reads the chain's current version number with one atomic load (no
+///     pin) and probes the cache under one shard mutex; serving a hit
+///     concurrent with a publish is linearizable (the read overlapped the
+///     write), and post-write reads are fresh because publish
 ///     happens-before ApplyWrites returns.
 ///   * Worker-side term interning (the matcher's affine/compound
 ///     construction) is safe because TermArena is internally synchronized.
@@ -266,18 +269,9 @@ class QueryService {
                                   std::vector<TermId> bound_values,
                                   QueryLimits limits = {});
 
-  /// Admission-controlled variants: when options.max_pending > 0 and that
-  /// many requests are in flight, the future resolves immediately with
-  /// outcome kOverloaded (status ResourceExhausted) instead of queueing.
-  std::future<QueryAnswer> TrySubmit(const QueryRequest& request);
-  std::future<QueryAnswer> TrySubmit(const FormHandle& handle,
-                                     std::vector<TermId> bound_values,
-                                     QueryLimits limits = {});
-
-  /// Answers one request synchronously. (The old pre-handle
-  /// `Answer(const Query&)` shim is gone: callers build a QueryRequest —
-  /// which is where limits/strategy overrides belong — or use the handle
-  /// tier below. Both funnel through the same SubmitImpl.)
+  /// Answers one request synchronously: Submit, then wait. Callers build a
+  /// QueryRequest (which is where limits/strategy overrides belong) or use
+  /// the handle tier below.
   QueryAnswer Answer(const QueryRequest& request);
   QueryAnswer Answer(const FormHandle& handle,
                      std::vector<TermId> bound_values,
@@ -290,10 +284,6 @@ class QueryService {
   AnswerCursor Stream(const FormHandle& handle,
                       std::vector<TermId> bound_values,
                       QueryLimits limits = {});
-
-  /// Answers a batch; answers are returned in input order. Queries of the
-  /// batch evaluate concurrently across the pool.
-  std::vector<QueryAnswer> AnswerBatch(const std::vector<QueryRequest>& batch);
 
   /// The one EDB write path: validates `batch` (declared arities, groundness —
   /// rejected batches never queue), takes a FIFO commit ticket (concurrent
@@ -330,7 +320,8 @@ class QueryService {
     size_t forms_compiled = 0;
     size_t form_cache_hits = 0;
     size_t queries_served = 0;
-    /// TrySubmit rejections (never evaluated, not counted as served).
+    /// Requests rejected by admission control because max_pending requests
+    /// were in flight (never evaluated, not counted as served).
     size_t overloaded = 0;
     /// Requests served from the AnswerCache (no evaluation ran).
     size_t answers_from_cache = 0;
@@ -424,8 +415,9 @@ class QueryService {
 
   /// Prometheus-style text exposition of every registered instrument
   /// (service counters, latency histograms, per-form and per-rule
-  /// counters), with the scrape-time mirrors (pending depth, answer-cache
-  /// occupancy) refreshed first. The METRICS wire verb serves this.
+  /// counters, the answer cache's counters and live occupancy gauges),
+  /// with the scrape-time mirrors (pending depth, version counts)
+  /// refreshed first. The METRICS wire verb serves this.
   std::string MetricsText() const;
 
   /// The service's metrics registry. Exposed so embedders can register
@@ -516,8 +508,9 @@ class QueryService {
                            bool* compiled = nullptr) EXCLUDES(form_mutex_);
 
   /// Reserves one admission slot. Returns false (and leaves no slot taken)
-  /// when `enforce_admission` and the bounded queue is full.
-  bool Admit(bool enforce_admission);
+  /// when the bounded queue is full, unless this is the `readmission` of a
+  /// parked duplicate that already held a slot.
+  bool Admit(bool readmission);
   QueryAnswer OverloadedAnswer() const;
   QueryAnswer DeadlineShedAnswer() const;
 
@@ -526,7 +519,7 @@ class QueryService {
   /// with the final answer — inline for compile errors, admission
   /// rejections, and answer-cache hits, from a worker otherwise.
   void Dispatch(const QueryRequest& request, AnswerSink sink,
-                bool enforce_admission, Completion done);
+                Completion done);
 
   /// The handle hot path: an answer-cache probe, then (on a miss) pool
   /// dispatch — the worker pins the current database version and
@@ -535,14 +528,13 @@ class QueryService {
   /// a duplicate is admitted first (it holds an admission slot while
   /// parked, so max_pending backpressure sees it), then parks behind the
   /// leader. `admitted_at` is the request's original admission anchor —
-  /// a parked duplicate passes it through its re-dispatch, so its
-  /// deadline keeps counting queue *and* park time and is shed, never
-  /// re-anchored, when it expires.
+  /// only a parked duplicate's re-dispatch passes it, so its deadline
+  /// keeps counting queue *and* park time and is shed, never re-anchored,
+  /// when it expires; and it is readmitted without the max_pending check.
   /// `compile_span` (end_ns != 0 when present) is the request-tier
   /// compile interval, recorded into the trace when one is allocated.
   void DispatchForm(CachedForm* cached, std::vector<TermId> bound_values,
-                    QueryLimits limits, AnswerSink sink,
-                    bool enforce_admission, Completion done,
+                    QueryLimits limits, AnswerSink sink, Completion done,
                     std::optional<std::chrono::steady_clock::time_point>
                         admitted_at = std::nullopt,
                     obs::Span compile_span = {})
@@ -552,12 +544,13 @@ class QueryService {
   /// (exact-key hit, or the fully-free subsumption fast path). `version`
   /// is the database version the caller probes under: workers pass the
   /// version they pinned at dispatch, the inline path passes the chain's
-  /// lock-free current version number. No fence is needed in either case
-  /// — a hit keyed at version V is the complete answer for V, and serving
-  /// it while V+1 publishes concurrently is linearizable (the request
-  /// overlapped the write). Returns true when `done` was invoked —
-  /// inline, on the calling thread, with no worker or admission slot
-  /// involved.
+  /// current version number (one atomic load). No fence is needed in
+  /// either case — a hit keyed at version V is the complete answer for V,
+  /// and serving it while V+1 publishes concurrently is linearizable (the
+  /// request overlapped the write). Called with no lock held (the cache's
+  /// shard mutexes are data-plane leaves). Returns true when `done` was
+  /// invoked — inline, on the calling thread, with no worker or admission
+  /// slot involved.
   bool TryServeCached(CachedForm* cached,
                       const std::vector<TermId>& bound_values,
                       uint64_t version, const QueryLimits& limits,
@@ -589,13 +582,6 @@ class QueryService {
   void ReleaseInflight(CachedForm* cached,
                        const std::vector<TermId>& bound_values)
       EXCLUDES(inflight_mutex_);
-
-  std::future<QueryAnswer> SubmitImpl(const QueryRequest& request,
-                                      bool enforce_admission);
-  std::future<QueryAnswer> SubmitImpl(const FormHandle& handle,
-                                      std::vector<TermId> bound_values,
-                                      QueryLimits limits,
-                                      bool enforce_admission);
 
   /// Builds the shared cursor state plus the sink/completion pair that
   /// feeds it, injecting a cancellation token into `*limits` if absent.
@@ -661,10 +647,8 @@ class QueryService {
   /// Live queue depth of writers waiting for their commit ticket
   /// (maintained on the write path: +1 on arrival, -1 on redemption).
   obs::Gauge* writes_queued_gauge_ = nullptr;
-  /// Scrape-time mirrors (refreshed by MetricsText/stats, not hot-path).
+  /// Scrape-time mirror (refreshed by MetricsText/stats, not hot-path).
   obs::Gauge* pending_gauge_ = nullptr;
-  obs::Gauge* cache_entries_gauge_ = nullptr;
-  obs::Gauge* cache_bytes_gauge_ = nullptr;
   /// Versions alive (head + reader-pinned) and pinned-only (alive minus
   /// the head), mirrored at scrape time from the chain's counters.
   obs::Gauge* versions_live_gauge_ = nullptr;
@@ -682,8 +666,9 @@ class QueryService {
                      InflightKeyHash>
       inflight_ GUARDED_BY(inflight_mutex_);
 
-  /// Cross-query answer memo; internally synchronized (lock-free hit
-  /// path), so it sits outside the serve/form lock order entirely.
+  /// Cross-query answer memo; internally synchronized by its shard
+  /// mutexes (data-plane leaves), which are only taken with no service
+  /// lock held. Its counters and gauges are cells of metrics_.
   AnswerCache cache_;
 
   ThreadPool pool_;

@@ -117,13 +117,15 @@ void MagicServer::AcceptLoop() {
       continue;
     }
     SetNoDelay(fd);
-    if (active_.load() >= options_.max_connections) {
+    // Behind one server, this loop is the only thread that raises the
+    // gauge, so the check and the Add below cannot overshoot the bound.
+    if (ctx_.metrics.connections->value() >=
+        static_cast<int64_t>(options_.max_connections)) {
       WriteFrame(fd, std::string(WireCodeName(WireCode::kOverloaded)) +
                          " too many connections");
       ::close(fd);
       continue;
     }
-    active_.fetch_add(1);
     ctx_.metrics.connections->Add(1);
     uint64_t id;
     {
@@ -142,7 +144,6 @@ void MagicServer::AcceptLoop() {
 void MagicServer::RunSession(uint64_t id, int fd) {
   Session session(fd, &ctx_);
   session.Run();
-  active_.fetch_sub(1);
   ctx_.metrics.connections->Add(-1);
   // close + finished flip together under the lock, so Stop() never
   // shutdown()s an fd number the kernel may have already reused.

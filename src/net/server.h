@@ -20,8 +20,10 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; read the real one back via port().
   uint16_t port = 0;
   /// Connection-level admission: accepts beyond this answer one
-  /// `Overloaded` frame and close. (Request-level admission is the
-  /// service's max_pending; this bound is about socket/thread fan-in.)
+  /// `Overloaded` frame and close. Checked against the service registry's
+  /// `magicdb_net_connections` gauge, so it bounds every server sharing
+  /// one QueryService together. (Request-level admission is the service's
+  /// max_pending; this bound is about socket/thread fan-in.)
   size_t max_connections = 64;
   size_t max_request_frame = kMaxRequestFrame;
 };
@@ -59,9 +61,6 @@ class MagicServer {
   /// Stops accepting, disconnects every session, joins all threads.
   void Stop() EXCLUDES(sessions_mutex_);
 
-  /// Connections currently being served (tests and the overload path).
-  size_t active_connections() const { return active_.load(); }
-
  private:
   void AcceptLoop() EXCLUDES(sessions_mutex_);
   void RunSession(uint64_t id, int fd) EXCLUDES(sessions_mutex_);
@@ -88,7 +87,6 @@ class MagicServer {
   };
   std::unordered_map<uint64_t, Conn> sessions_ GUARDED_BY(sessions_mutex_);
   uint64_t next_session_id_ GUARDED_BY(sessions_mutex_) = 0;
-  std::atomic<size_t> active_{0};
 };
 
 }  // namespace net

@@ -2,7 +2,8 @@
 // it aborts on every contract violation the static analysis cannot see —
 // out-of-rank acquisition, recursive acquisition, taking a control-plane
 // lock under the commit tier, below-floor acquisition under a synthetic
-// exclusive seam, and base -> overlay symbol-table order — and
+// exclusive seam, base -> overlay symbol-table order, and an AnswerCache
+// probe under a lock ranked above the cache shards — and
 // pass-through tests prove every sanctioned order (including real
 // QueryService traffic with live MVCC commits) is silent. In Release the
 // checker compiles out, so the death tests skip and the pass-throughs
@@ -86,6 +87,15 @@ QueryRequest MakeRequest(const Query& query) {
   overlay.LockShared();  // overlay -> base is the order; this is reversed
 }
 
+[[maybe_unused]] void CacheGetUnderPoolLock() NO_THREAD_SAFETY_ANALYSIS {
+  obs::MetricsRegistry metrics;
+  AnswerCache cache(metrics);
+  Mutex pool(lock_rank::kPool);
+  pool.Lock();  // ranked above the cache's shard mutexes
+  const std::vector<TermId> seed = {1};
+  (void)cache.Get(/*tag=*/1, seed, /*version=*/1);
+}
+
 [[maybe_unused]] void ReleaseUnheld() NO_THREAD_SAFETY_ANALYSIS {
   Mutex m(lock_rank::kForm);
   m.Unlock();
@@ -118,6 +128,11 @@ TEST(LockRankDeathTest, BelowFloorUnderExclusiveSeamAborts) {
 TEST(LockRankDeathTest, BaseThenOverlaySymbolOrderAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(LockBaseThenOverlay(), "lock-rank violation");
+}
+
+TEST(LockRankDeathTest, CacheGetUnderAHigherRankedLockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(CacheGetUnderPoolLock(), "lock-rank violation");
 }
 
 TEST(LockRankDeathTest, ReleasingAnUnheldMutexAborts) {

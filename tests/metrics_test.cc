@@ -287,6 +287,48 @@ TEST(MetricsServiceTest, EndToEndObservability) {
   EXPECT_NE(json.find("\"slow_queries\""), std::string::npos);
 }
 
+TEST(MetricsServiceTest, AnswerCacheCountersAreRegistryCells) {
+  Workload w = MakeAncestorChain(8);
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(w.program, w.db, options);
+
+  QueryRequest request;
+  request.query = InstanceAt(w, "c0");
+  // Cold: the inline probe misses, the worker's second-chance probe misses
+  // again, and the evaluation fills the cache. Warm: one inline hit.
+  ASSERT_FALSE(service.Answer(request).from_cache);
+  ASSERT_TRUE(service.Answer(request).from_cache);
+
+  const AnswerCache::Stats cache = service.stats().answer_cache;
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.inserts, 1u);
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_GT(cache.bytes, 0u);
+
+  // The occupancy gauges are live: the registry cell already reads the
+  // cache's state before any scrape refreshes anything.
+  EXPECT_EQ(
+      service.metrics().GetGauge("magicdb_answer_cache_entries")->value(), 1);
+
+  // METRICS renders the same cells.
+  const std::string text = service.MetricsText();
+  auto shows = [&text](const std::string& line) {
+    return text.find("\n" + line + "\n") != std::string::npos;
+  };
+  EXPECT_TRUE(shows("magicdb_answer_cache_hits_total 1")) << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_misses_total 2")) << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_inserts_total 1")) << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_evictions_total 0")) << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_rejected_oversize_total 0"))
+      << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_entries 1")) << text;
+  EXPECT_TRUE(shows("magicdb_answer_cache_bytes " +
+                    std::to_string(cache.bytes)))
+      << text;
+}
+
 TEST(MetricsServiceTest, WritePublishIsAHistogram) {
   Workload w = MakeAncestorChain(8);
   QueryServiceOptions options;

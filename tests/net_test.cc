@@ -554,10 +554,22 @@ TEST_F(NetServerStreamTest, MidStreamDisconnectCancelsAndReleasesTheSlot) {
   }
 
   // The abandoned cursor must cancel and retire its evaluation: a leaked
-  // admission slot (max_pending=1) would wedge the follow-up query, and a
-  // leaked evaluation would pin its database version forever. APPLY no
-  // longer waits for in-flight work (MVCC publish), so the wedged-slot
-  // check is what has teeth here.
+  // admission slot (max_pending=1, enforced on every entry point) would
+  // wedge the follow-up QUERY with kOverloaded, and a leaked evaluation
+  // would pin its database version forever. APPLY no longer waits for
+  // in-flight work (MVCC publish), so the wedged-slot check is what has
+  // teeth here. The dropped session ends only after Finish() has joined
+  // its evaluation, so once the connections gauge reads zero the slot is
+  // either released or leaked for good: the QUERY below cannot race it.
+  obs::Gauge* connections =
+      service_->metrics().GetGauge("magicdb_net_connections");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (connections->value() != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(connections->value(), 0);
   MagicClient fresh = Connect();
   auto applied = fresh.Call("APPLY\n+par(c399, c400).");
   ASSERT_TRUE(applied.ok());

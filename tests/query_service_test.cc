@@ -30,6 +30,23 @@ Query InstanceAt(const Workload& w, const std::string& node) {
   return query;
 }
 
+/// Submits the whole batch before waiting on any answer, so its queries
+/// evaluate concurrently across the pool; answers come back in input order.
+std::vector<QueryAnswer> AnswerAll(QueryService& service,
+                                   const std::vector<QueryRequest>& batch) {
+  std::vector<std::future<QueryAnswer>> futures;
+  futures.reserve(batch.size());
+  for (const QueryRequest& request : batch) {
+    futures.push_back(service.Submit(request));
+  }
+  std::vector<QueryAnswer> answers;
+  answers.reserve(futures.size());
+  for (std::future<QueryAnswer>& future : futures) {
+    answers.push_back(future.get());
+  }
+  return answers;
+}
+
 TEST(QueryServiceTest, BatchMatchesSingleThreadedEngineForEveryStrategy) {
   for (Strategy strategy : kPreparableStrategies) {
     Workload w = MakeAncestorChain(24);
@@ -49,7 +66,7 @@ TEST(QueryServiceTest, BatchMatchesSingleThreadedEngineForEveryStrategy) {
     options.num_threads = 8;
     options.engine.strategy = strategy;
     QueryService service(w.program, w.db, options);
-    std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
+    std::vector<QueryAnswer> answers = AnswerAll(service, batch);
     ASSERT_EQ(answers.size(), batch.size());
 
     EngineOptions engine_options;
@@ -87,7 +104,7 @@ TEST(QueryServiceTest, SameGenerationBatchMatchesEngine) {
   QueryServiceOptions options;
   options.num_threads = 8;
   QueryService service(w.program, w.db, options);
-  std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
+  std::vector<QueryAnswer> answers = AnswerAll(service, batch);
 
   QueryEngine engine;
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -212,7 +229,7 @@ TEST(QueryServiceTest, ServesNonRewritingStrategiesAsPreparedForms) {
       batch.push_back(rewriting);
     }
   }
-  std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
+  std::vector<QueryAnswer> answers = AnswerAll(service, batch);
   ASSERT_EQ(answers.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(answers[i].status.ok())
@@ -498,7 +515,7 @@ TEST(QueryServiceTest, CursorHonorsRowLimit) {
   EXPECT_EQ(cursor.Finish().outcome, AnswerStatus::kTruncated);
 }
 
-TEST(QueryServiceTest, TrySubmitRejectsWhenQueueIsFull) {
+TEST(QueryServiceTest, SubmitRejectsWhenQueueIsFull) {
   // Deterministic overload: a counting-strategy query over cyclic data
   // diverges (paper, Section 6), so with one worker it provably occupies
   // the pool until its cancellation token fires — no timing assumptions.
@@ -522,25 +539,35 @@ TEST(QueryServiceTest, TrySubmitRejectsWhenQueueIsFull) {
   queued.query.goal.args = {u.Constant("c0"), u.FreshVariable("Y")};
   std::future<QueryAnswer> waiting = service.Submit(queued);
 
-  QueryAnswer rejected = service.TrySubmit(queued).get();
+  QueryAnswer rejected = service.Submit(queued).get();
   EXPECT_EQ(rejected.outcome, AnswerStatus::kOverloaded);
   EXPECT_EQ(rejected.status.code(), StatusCode::kResourceExhausted);
 
-  // Plain Submit still queues regardless of depth.
-  std::future<QueryAnswer> forced = service.Submit(queued);
+  // Every entry point shares the one admission check: both tiers of
+  // Answer and Stream are rejected too.
+  EXPECT_EQ(service.Answer(queued).outcome, AnswerStatus::kOverloaded);
+  QueryRequest derived;
+  derived.query = InstanceAt(w, "c1");
+  auto handle = service.Prepare(derived);
+  ASSERT_TRUE(handle.ok());
+  EXPECT_EQ(service.Answer(*handle, {u.Constant("c1")}).outcome,
+            AnswerStatus::kOverloaded);
+  AnswerCursor cursor = service.Stream(derived);
+  EXPECT_EQ(cursor.Finish().outcome, AnswerStatus::kOverloaded);
+  AnswerCursor handle_cursor = service.Stream(*handle, {u.Constant("c1")});
+  EXPECT_EQ(handle_cursor.Finish().outcome, AnswerStatus::kOverloaded);
 
   divergent.limits.cancel->store(true);
   QueryAnswer cancelled = running.get();
   EXPECT_EQ(cancelled.outcome, AnswerStatus::kCancelled);
   ASSERT_TRUE(waiting.get().status.ok());
-  ASSERT_TRUE(forced.get().status.ok());
 
   QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.overloaded, 1u);
-  EXPECT_EQ(stats.queries_served, 3u);  // the rejection is not "served"
+  EXPECT_EQ(stats.overloaded, 5u);
+  EXPECT_EQ(stats.queries_served, 2u);  // rejections are not "served"
 
-  // With the queue drained, TrySubmit admits again.
-  QueryAnswer admitted = service.TrySubmit(queued).get();
+  // With the queue drained, Submit admits again.
+  QueryAnswer admitted = service.Submit(queued).get();
   EXPECT_TRUE(admitted.status.ok());
 }
 
@@ -1037,7 +1064,7 @@ TEST(QueryServiceTest, SimultaneousIdenticalMissesEvaluateOnce) {
 TEST(QueryServiceTest, ParkedDuplicatesKeepTheirDeadlineAndAdmissionSlot) {
   // Two guarantees of the coalescing path, both deterministic here:
   //  1. a parked duplicate holds its admission slot, so max_pending
-  //     backpressure counts it and TrySubmit sheds further load;
+  //     backpressure counts it and Submit sheds further load;
   //  2. its deadline stays anchored at its own submission — when the
   //     leader completes without a cache fill, the duplicate is shed
   //     kDeadlineExceeded instead of re-anchoring and evaluating.
@@ -1069,7 +1096,7 @@ TEST(QueryServiceTest, ParkedDuplicatesKeepTheirDeadlineAndAdmissionSlot) {
   // request finds the bounded queue full.
   QueryRequest third = divergent;
   third.limits = {};
-  QueryAnswer rejected = service.TrySubmit(third).get();
+  QueryAnswer rejected = service.Submit(third).get();
   EXPECT_EQ(rejected.outcome, AnswerStatus::kOverloaded);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -1140,7 +1167,7 @@ TEST(QueryServiceTest, AnswersComeBackInInputOrder) {
   QueryServiceOptions options;
   options.num_threads = 8;
   QueryService service(w.program, w.db, options);
-  std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
+  std::vector<QueryAnswer> answers = AnswerAll(service, batch);
   ASSERT_EQ(answers.size(), 12u);
   // Query anc(c_i, Y) over a 12-chain has 11 - i answers; input order is
   // i = 11 .. 0, so sizes must come back strictly increasing.
